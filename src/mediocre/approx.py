@@ -150,7 +150,9 @@ def hyperpair_select(
 def a2_params(i: int, j: int, n: int) -> A2Params:
     """Sampling parameters: m = i+j+2(i+j)^(3/4), r = m^(3/4), k = j*m^(-1/4) + sqrt(m)/2.
 
-    Real-valued formulas are rounded half-up; k is clamped into [1, r].
+    Real-valued formulas are rounded half-up; k is clamped into the band
+    [ceil(sqrt(m)/2), r - floor(sqrt(m)/2)] that keeps it at least sqrt(m)/2
+    ranks from either end of the sample.
     """
     if i < 0:
         raise ValueError(f"i >= 0 violated: i = {i}")
@@ -162,9 +164,11 @@ def a2_params(i: int, j: int, n: int) -> A2Params:
     if m > n:
         raise ValueError(f"i + j + 2(i+j)^(3/4) <= n violated: {m} > {n}")
     r = _round_half_up(m**0.75)
-    k = max(1, min(r, _round_half_up(j * m**-0.25 + m**0.5 / 2.0)))
     half_root = m**0.5 / 2.0
-    assert math.ceil(half_root) <= k <= r - math.floor(half_root), (m, r, k)
+    low, high = math.ceil(half_root), r - math.floor(half_root)
+    if low > high:
+        raise ValueError(f"empty sample rank band for i = {i}, j = {j}: [{low}, {high}]")
+    k = max(low, min(high, _round_half_up(j * m**-0.25 + half_root)))
     return A2Params(m=m, r=r, k=k)
 
 

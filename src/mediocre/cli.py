@@ -8,20 +8,18 @@ failure in `run --algo a2`.
 Seed scheme: the instance for seed s is generated from s; the algorithm's
 random stream uses s XOR 2^63 and the fr-median baseline s XOR 2^62, so the
 streams never collide with each other or with neighbouring trial seeds
-(trial t of a bench uses seed_base + t).  Set MEDIOCRE_THREADS=<w> to run
-bench trials on w threads; aggregation does not depend on completion order.
+(trial t of a bench uses seed_base + t).  A bench generates each seed's
+instance once and runs the algorithm and then the baseline on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .approx import a1_select, a2_las_vegas, a2_once, hyperpair_select, yao_select
-from .core import CountingComparator, Rng, generate_instance, rank_of
+from .core import CountingComparator, Instance, Rng, generate_instance, rank_of
 from .costmodel import curve, lower_bound, tables
 from .exact import select_by_sort, select_floyd_rivest, select_mom
 
@@ -114,9 +112,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 3 if (args.algo == "a2" and out.failed) else 0
 
 
-def _bench_one(algo: str, n: int, i: int, j: int, g: int | None, exact_name: str, seed: int):
-    """One seeded trial: (comparisons, failed, repetitions)."""
-    instance = generate_instance(n, i, j, seed)
+def _bench_one(algo: str, instance: Instance, g: int | None, exact_name: str, seed: int):
+    """One seeded trial on the instance of seed: (comparisons, failed, repetitions)."""
     cmp = CountingComparator()
     exact = _EXACT[exact_name]
     if algo == "yao":
@@ -130,7 +127,7 @@ def _bench_one(algo: str, n: int, i: int, j: int, g: int | None, exact_name: str
     elif algo == "a2lv":
         out = a2_las_vegas(instance, None, cmp, Rng(seed ^ _ALGO_RNG_TAG))
     else:  # fr-median over the prefix subset
-        subset = instance.elements[: i + j + 1]
+        subset = instance.elements[: instance.i + instance.j + 1]
         k = (len(subset) + 1) // 2
         select_floyd_rivest(subset, k, cmp, Rng(seed ^ _BASELINE_RNG_TAG))
         return cmp.comparisons, False, 1
@@ -156,19 +153,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--g is required for --algo hyper")
     if args.trials < 1:
         raise ValueError(f"trials >= 1 violated: trials = {args.trials}")
-    workers = int(os.environ.get("MEDIOCRE_THREADS", "1") or "1")
     algos = [args.algo] + (["fr-median"] if args.baseline == "fr-median" else [])
+    results = {algo: [] for algo in algos}
     print(BENCH_HEADER)
+    for seed in range(args.seed_base, args.seed_base + args.trials):
+        instance = generate_instance(args.n, args.i, args.j, seed)
+        for algo in algos:
+            results[algo].append(_bench_one(algo, instance, args.g, args.exact, seed))
     for algo in algos:
-        def trial(t: int, _algo=algo):
-            return _bench_one(_algo, args.n, args.i, args.j, args.g, args.exact, args.seed_base + t)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(trial, range(args.trials)))
-        else:
-            results = [trial(t) for t in range(args.trials)]
-        print(_stats_row(algo, args.n, args.i, args.j, args.trials, args.seed_base, results))
+        print(_stats_row(algo, args.n, args.i, args.j, args.trials, args.seed_base, results[algo]))
     return 0
 
 

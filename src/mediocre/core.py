@@ -67,10 +67,29 @@ class Rng:
                 return r % bound
 
     def shuffle(self, xs: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle.
+
+        Draws exactly what swapping xs[idx] with xs[self.below(idx + 1)], for
+        idx from len(xs) - 1 down to 1, would draw, with the first next_u64 of
+        each below() call inlined.  A draw below 2**64 - len(xs) is accepted
+        at once: every bound <= len(xs) has a rejection limit above it.
+        """
+        s = self._state
+        early = _MASK64 + 1 - len(xs)
         for idx in range(len(xs) - 1, 0, -1):
-            other = self.below(idx + 1)
+            s = (s + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z >= early and z >= _MASK64 + 1 - ((_MASK64 + 1) % (idx + 1)):
+                # Rejected: below() goes on drawing from the next state.
+                self._state = s
+                other = self.below(idx + 1)
+                s = self._state
+            else:
+                other = z % (idx + 1)
             xs[idx], xs[other] = xs[other], xs[idx]
+        self._state = s
 
     def sample_with_replacement(self, bound: int, count: int) -> list[int]:
         """count independent uniform draws from [0, bound)."""

@@ -206,9 +206,10 @@ class TestA2Params:
         half_root = math.sqrt(params.m) / 2
         assert math.ceil(half_root) <= params.k <= params.r - math.floor(half_root)
 
-    @given(st.integers(8, 5000), st.integers(8, 5000))
+    @given(st.integers(0, 5000), st.integers(0, 5000))
     @settings(max_examples=100)
     def test_sample_rank_band(self, i, j):
+        assume(i + j >= 16)
         params = a2_params(i, j, 10**9)
         half_root = math.sqrt(params.m) / 2
         assert math.ceil(half_root) <= params.k <= params.r - math.floor(half_root)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import mediocre.cli as cli
 from mediocre.cli import main
 
 
@@ -76,6 +77,13 @@ class TestRun:
                 assert code == 3
                 assert record["failed"] == "true"
 
+    def test_a2_small_j_exits_cleanly(self, capsys):
+        # j much smaller than i puts the unclamped k below the sample-rank band;
+        # an exception there would propagate out of main and fail the test
+        code, out, _ = run_cli(capsys, "run", "--algo", "a2", "--n", "100", "--i", "21", "--j", "0", "--seed", "1")
+        assert code in (0, 3)
+        assert out.startswith("algo,")
+
     def test_a2lv_reports_repetitions(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--algo", "a2lv", "--n", "80", "--i", "18", "--j", "18", "--seed", "4")
         assert code == 0
@@ -128,6 +136,22 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].startswith("a2lv,")
         assert lines[2].startswith("fr-median,")
+
+    def test_baseline_shares_one_instance_per_seed(self, capsys, monkeypatch):
+        args = ("bench", "--algo", "a2lv", "--n", "200", "--i", "40", "--j", "40", "--trials", "3")
+        _, alone, _ = run_cli(capsys, *args)
+        calls = []
+        generate = cli.generate_instance
+
+        def counted(*a):
+            calls.append(a)
+            return generate(*a)
+
+        monkeypatch.setattr(cli, "generate_instance", counted)
+        code, out, _ = run_cli(capsys, *args, "--baseline", "fr-median")
+        assert code == 0
+        assert len(calls) == 3
+        assert out.splitlines()[1] == alone.splitlines()[1]
 
     def test_mc_row_reports_failure_rate(self, capsys):
         code, out, _ = run_cli(

@@ -11,6 +11,32 @@ from mediocre.core import (
     rank_of,
 )
 
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _reference_shuffle(rng, length):
+    """Fisher-Yates on Rng.below, the definition Rng.shuffle must match."""
+    xs = list(range(length))
+    for idx in range(length - 1, 0, -1):
+        other = rng.below(idx + 1)
+        xs[idx], xs[other] = xs[other], xs[idx]
+    return xs
+
+
+def _state_drawing(z):
+    """The SplitMix64 state whose output is z (the output mixer is a bijection)."""
+
+    def unshift(x, k):
+        y = x
+        for _ in range(64 // k + 1):
+            y = x ^ (y >> k)
+        return y
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+
 
 class TestGenerateInstance:
     def test_single_element(self):
@@ -146,6 +172,44 @@ class TestRng:
         Rng(9).shuffle(xs)
         assert xs != list(range(100))
         assert sorted(xs) == list(range(100))
+
+    def test_stream_matches_published_splitmix64_vector(self):
+        rng = Rng(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    def test_shuffle_stream_is_pinned(self):
+        rng = Rng(9)
+        xs = list(range(10))
+        rng.shuffle(xs)
+        assert xs == [3, 2, 1, 9, 7, 5, 0, 6, 4, 8]
+        assert rng._state == 0x8FF34785799E5CC6
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+    @settings(max_examples=200)
+    def test_shuffle_equals_fisher_yates_on_below(self, seed, length):
+        fast, ref = Rng(seed), Rng(seed)
+        xs = list(range(length))
+        fast.shuffle(xs)
+        assert xs == _reference_shuffle(ref, length)
+        assert fast.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("length", [3, 4, 6, 7, 301])
+    def test_shuffle_equals_fisher_yates_on_a_top_draw(self, length):
+        # The second draw, for bound length - 1, is 2**64 - 1: accepted for
+        # bound 2, rejected for bounds 3, 5, 6 and 300.
+        seed = (_state_drawing(_MASK64) - 2 * _GAMMA) & _MASK64
+        probe = Rng(seed)
+        probe.next_u64()
+        assert probe.next_u64() == _MASK64
+        fast, ref = Rng(seed), Rng(seed)
+        xs = list(range(length))
+        fast.shuffle(xs)
+        assert xs == _reference_shuffle(ref, length)
+        assert fast.next_u64() == ref.next_u64()
 
     def test_sample_with_replacement(self):
         draws = Rng(3).sample_with_replacement(10, 1000)
