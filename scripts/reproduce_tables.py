@@ -1,21 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the published cost tables and the comparison-constant curve.
 
-Writes four CSV files into --out-dir (default: results/) using the same
-formatting as the CLI, so the files can be diffed against `mediocre table`
-output directly.
+Writes four CSV files into --out-dir (default: results/) with the CLI's own
+formatting, so each file is byte-identical to the matching `mediocre table`
+or `mediocre plot-data --from 0.005 --to 0.33 --step 0.005` output.
 """
 
 import argparse
 from pathlib import Path
 
-from mediocre.costmodel import curve, tables
-
-HEADERS = {
-    "f": "alpha,l,g_l,g_l1,f",
-    "constants": "alpha,c_a1,c_yao",
-    "hyper4": "alpha,c_a4,c_yao4",
-}
+from mediocre.cli import curve_lines, table_lines
 
 
 def main() -> None:
@@ -24,25 +18,12 @@ def main() -> None:
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    for which in ("f", "constants", "hyper4"):
-        lines = [HEADERS[which]]
-        for row in tables(which):
-            if which == "f":
-                alpha, l, g_l, g_l1, f_val = row
-                lines.append(f"{alpha:.2f},{l},{g_l:.4f},{g_l1:.4f},{f_val:.4f}")
-            else:
-                alpha, left, right = row
-                lines.append(f"{alpha:.2f},{left:.4f},{right:.4f}")
-        path = args.out_dir / f"{which}_table.csv"
+    files = {f"{which}_table.csv": table_lines(which) for which in ("f", "constants", "hyper4")}
+    files["curve.csv"] = curve_lines(0.005, 0.33, 0.005)
+    for name, lines in files.items():
+        path = args.out_dir / name
         path.write_text("\n".join(lines) + "\n")
         print(f"wrote {path} ({len(lines) - 1} rows)")
-
-    lines = ["alpha,c_a1,c_yao"]
-    for alpha, c_a1, c_yao in curve(0.005, 0.33, 0.005):
-        lines.append(f"{alpha:.4f},{c_a1:.4f},{c_yao:.4f}")
-    path = args.out_dir / "curve.csv"
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(lines) - 1} rows)")
 
 
 if __name__ == "__main__":

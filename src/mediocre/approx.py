@@ -1,4 +1,4 @@
-"""Approximate selection: prefix scheme, pairing scheme, hyperpair groups, sampling.
+"""Approximate selection: the grouped scheme (prefix, pairing, hyperpair) and sampling.
 
 Every routine here returns an element guaranteed to sit outside both the top i
 and the bottom j of the instance (the randomized one may instead report a
@@ -22,27 +22,6 @@ _LAS_VEGAS_CAP = 100
 
 
 @dataclass(slots=True)
-class HyperpairConfig:
-    """Grouping geometry for the hyperpair scheme."""
-
-    group_size: int
-    pool_size: int
-    subset_size: int
-
-    @classmethod
-    def for_instance(cls, n: int, i: int, j: int, group_size: int) -> "HyperpairConfig":
-        if group_size < 2 or group_size & (group_size - 1):
-            raise ValueError(f"group size must be a power of 2 >= 2, got {group_size}")
-        pool = i + -(-(j + 1) // group_size)
-        subset = group_size * pool
-        if subset > n:
-            raise ValueError(
-                f"group_size * pool_size <= n violated: {group_size} * {pool} > {n}"
-            )
-        return cls(group_size=group_size, pool_size=pool, subset_size=subset)
-
-
-@dataclass(slots=True)
 class A2Params:
     """Working-set size m, sample size r and target sample rank k."""
 
@@ -55,22 +34,61 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def _group_max(values: Sequence[Element], g: int, cmp: CountingComparator) -> Sequence[Element]:
+    """Knockout maxima of consecutive groups of g, a power of two.
+
+    Plays log2(g) rounds of adjacent-pair matches; an odd trailing element
+    takes a bye.  Costs len(values) - len(result) comparisons, so g - 1 per
+    full group.
+    """
+    less = cmp.less
+    while g > 1:
+        winners = []
+        it = iter(values)
+        for a, b in zip(it, it):
+            winners.append(b if less(a, b) else a)
+        if len(values) & 1:
+            winners.append(values[-1])
+        values = winners
+        g >>= 1
+    return values
+
+
+def grouped_select(
+    instance: Instance,
+    g: int,
+    size: int,
+    exact: ExactSelector,
+    cmp: CountingComparator | None = None,
+) -> SelectionOutcome:
+    """Grouped scheme: the (i+1)-th largest knockout maximum of the first size elements.
+
+    Groups of g (a power of two) are played out as knockout tournaments, and
+    their maxima form the pool handed to exact.  The i maxima above the
+    selected one guard the top; every group whose maximum it beats lies
+    wholly below it, as does the rest of its own group, which guards the
+    bottom.  The outcome records the knockout tally as stage_comparisons.
+    """
+    if cmp is None:
+        cmp = CountingComparator()
+    start = cmp.comparisons
+    pool = _group_max(instance.elements[:size], g, cmp)
+    stage = cmp.comparisons - start
+    x = exact(pool, instance.i + 1, cmp)
+    return SelectionOutcome(x, cmp.comparisons - start, stage)  # positional: cheaper per call
+
+
 def yao_select(
     instance: Instance,
     exact: ExactSelector = select_mom,
     cmp: CountingComparator | None = None,
 ) -> SelectionOutcome:
-    """Prefix scheme: the (i+1)-th largest of the first i+j+1 elements.
+    """Prefix scheme: the (i+1)-th largest of the first i+j+1 elements (g = 1).
 
     Whatever beats it inside the subset gives the i guard above; whatever it
     beats gives the j guard below.
     """
-    if cmp is None:
-        cmp = CountingComparator()
-    start = cmp.comparisons
-    subset = instance.elements[: instance.i + instance.j + 1]
-    x = exact(subset, instance.i + 1, cmp)
-    return SelectionOutcome(element=x, comparisons=cmp.comparisons - start)
+    return grouped_select(instance, 1, instance.i + instance.j + 1, exact, cmp)
 
 
 def a1_select(
@@ -78,45 +96,17 @@ def a1_select(
     exact: ExactSelector = select_mom,
     cmp: CountingComparator | None = None,
 ) -> SelectionOutcome:
-    """Pairing scheme: pre-compare disjoint pairs, then select among winners.
+    """Pairing scheme: pre-compare disjoint pairs, then select among winners (g = 2).
 
     Applies on i <= j <= n - 2i - 1; outside that range it degrades to the
     plain prefix scheme.  Uses the first 2i + j + 1 elements, pays exactly
     m = i + floor((j+1)/2) pairing comparisons, and selects the (i+1)-th
     largest of the pair winners (plus the unplayed leftover when j is even).
     """
-    if cmp is None:
-        cmp = CountingComparator()
     n, i, j = instance.n, instance.i, instance.j
     if not i <= j <= n - 2 * i - 1:
         return yao_select(instance, exact, cmp)
-    start = cmp.comparisons
-    m = i + (j + 1) // 2
-    subset = instance.elements[: 2 * i + j + 1]
-    less = cmp.less
-    pool = []
-    for pair in range(m):
-        a = subset[2 * pair]
-        b = subset[2 * pair + 1]
-        pool.append(b if less(a, b) else a)
-    if j % 2 == 0:
-        pool.append(subset[2 * m])
-    x = exact(pool, i + 1, cmp)
-    return SelectionOutcome(element=x, comparisons=cmp.comparisons - start)
-
-
-def _group_max(group: Sequence[Element], cmp: CountingComparator) -> Element:
-    """Balanced knockout maximum: len(group) - 1 comparisons."""
-    less = cmp.less
-    round_ = list(group)
-    while len(round_) > 1:
-        nxt = []
-        for pos in range(0, len(round_), 2):
-            a = round_[pos]
-            b = round_[pos + 1]
-            nxt.append(b if less(a, b) else a)
-        round_ = nxt
-    return round_[0]
+    return grouped_select(instance, 2, 2 * i + j + 1, exact, cmp)
 
 
 def hyperpair_select(
@@ -133,18 +123,13 @@ def hyperpair_select(
     this reproduces the pairing scheme exactly.  Out-of-range parameters raise;
     there is deliberately no silent fallback here.
     """
-    if cmp is None:
-        cmp = CountingComparator()
-    n, i, j = instance.n, instance.i, instance.j
-    config = HyperpairConfig.for_instance(n, i, j, group_size)
-    start = cmp.comparisons
-    subset = instance.elements[: config.subset_size]
-    maxima = [
-        _group_max(subset[base : base + group_size], cmp)
-        for base in range(0, config.subset_size, group_size)
-    ]
-    x = exact(maxima, i + 1, cmp)
-    return SelectionOutcome(element=x, comparisons=cmp.comparisons - start)
+    if group_size < 2 or group_size & (group_size - 1):
+        raise ValueError(f"group size must be a power of 2 >= 2, got {group_size}")
+    n = instance.n
+    pool = instance.i + -(-(instance.j + 1) // group_size)
+    if group_size * pool > n:
+        raise ValueError(f"group_size * pool_size <= n violated: {group_size} * {pool} > {n}")
+    return grouped_select(instance, group_size, group_size * pool, exact, cmp)
 
 
 def a2_params(i: int, j: int, n: int) -> A2Params:

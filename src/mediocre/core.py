@@ -129,14 +129,14 @@ class Instance:
 class SelectionOutcome:
     """Result of one selection run.
 
-    rank_from_bottom is filled by the rank oracle in tests and the CLI report;
-    library selection paths leave it None.  failed is meaningful only for the
-    Monte Carlo randomized path.  repetitions counts Las Vegas retries.
+    stage_comparisons is the tally of the grouped schemes' knockout stage,
+    None for the other paths.  failed is meaningful only for the Monte Carlo
+    randomized path.  repetitions counts Las Vegas retries.
     """
 
     element: Element
     comparisons: int
-    rank_from_bottom: int | None = None
+    stage_comparisons: int | None = None
     failed: bool = False
     repetitions: int = 1
 

@@ -276,9 +276,9 @@ def test_criterion_05_count_identities():
         inst = generate_instance(n, i, j, seed=n + i)
         cmp = CountingComparator()
         wrapped, cell = staged(cmp)
-        a1_select(inst, wrapped, cmp)
-        if cell[0] != i + (j + 1) // 2:
-            bad.append(("a1", n, i, j, cell[0]))
+        out = a1_select(inst, wrapped, cmp)
+        if not cell[0] == out.stage_comparisons == i + (j + 1) // 2:
+            bad.append(("a1", n, i, j, cell[0], out.stage_comparisons))
 
     # group stage comparisons are exactly m * (g - 1)
     for g, n, i, j in [(2, 4096, 100, 2000), (4, 4096, 64, 1500), (8, 4096, 10, 800), (16, 4096, 5, 100)]:
@@ -286,9 +286,9 @@ def test_criterion_05_count_identities():
         inst = generate_instance(n, i, j, seed=g * n)
         cmp = CountingComparator()
         wrapped, cell = staged(cmp)
-        hyperpair_select(inst, g, wrapped, cmp)
-        if cell[0] != m * (g - 1):
-            bad.append(("hyper", g, n, i, j, cell[0]))
+        out = hyperpair_select(inst, g, wrapped, cmp)
+        if not cell[0] == out.stage_comparisons == m * (g - 1):
+            bad.append(("hyper", g, n, i, j, cell[0], out.stage_comparisons))
 
     # tournament: exactly k - 2 + log2(k) at powers of two, never more elsewhere
     for k in [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]:

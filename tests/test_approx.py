@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import mediocre.approx as approx
 from mediocre.approx import (
     A2Params,
-    HyperpairConfig,
     a1_select,
     a2_las_vegas,
     a2_once,
@@ -86,6 +85,7 @@ class TestA1:
         wrapped, cell = staged(select_by_sort, cmp)
         out = a1_select(inst, wrapped, cmp)
         assert cell[0] == 6
+        assert out.stage_comparisons == cell[0]
         assert rank_of(out.element, inst) in (7, 8, 9)
 
     def test_leftover_configuration(self):
@@ -125,8 +125,9 @@ class TestA1:
         inst = generate_instance(n, i, j, seed=seed)
         cmp = CountingComparator()
         wrapped, cell = staged(select_by_sort, cmp)
-        a1_select(inst, wrapped, cmp)
+        out = a1_select(inst, wrapped, cmp)
         assert cell[0] == i + (j + 1) // 2
+        assert out.stage_comparisons == cell[0]
 
     def test_only_declared_subset_is_touched(self):
         inst = generate_instance(300, 10, 40, seed=3)
@@ -143,6 +144,7 @@ class TestHyperpair:
         wrapped, cell = staged(select_by_sort, cmp)
         out = hyperpair_select(inst, 4, wrapped, cmp)
         assert cell[0] == 6 * 3
+        assert out.stage_comparisons == cell[0]
         assert is_mediocre(out.element, inst)
 
     def test_g2_matches_pairing_scheme_for_odd_j(self):
@@ -166,8 +168,9 @@ class TestHyperpair:
             m = i + -(-(j + 1) // g)
             cmp = CountingComparator()
             wrapped, cell = staged(select_by_sort, cmp)
-            hyperpair_select(inst, g, wrapped, cmp)
+            out = hyperpair_select(inst, g, wrapped, cmp)
             assert cell[0] == m * (g - 1)
+            assert out.stage_comparisons == cell[0]
 
     def test_range_violation_raises_without_fallback(self):
         inst = generate_instance(10, 2, 7, seed=0)
@@ -181,11 +184,11 @@ class TestHyperpair:
             hyperpair_select(inst, bad, select_by_sort, CountingComparator())
 
     def test_only_declared_subset_is_touched(self):
+        # 4 + ceil(31 / 4) = 12 groups of 4
         inst = generate_instance(300, 4, 30, seed=8)
-        config = HyperpairConfig.for_instance(300, 4, 30, 4)
         cmp = RecordingComparator()
         hyperpair_select(inst, 4, select_mom, cmp)
-        assert cmp.seen <= set(inst.elements[: config.subset_size])
+        assert cmp.seen <= set(inst.elements[:48])
 
 
 class TestA2Params:

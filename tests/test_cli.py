@@ -1,10 +1,18 @@
+import io
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mediocre.cli as cli
 from mediocre.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -92,14 +100,35 @@ class TestRun:
         assert record["mediocre"] == "true"
 
     def test_hyper_requires_group_size(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--algo", "hyper", "--n", "24", "--i", "2", "--j", "15", "--seed", "1")
-        assert code == 2
-        assert "--g is required" in err
+        for command, count in (("run", "--seed"), ("bench", "--trials")):
+            code, out, err = run_cli(
+                capsys, command, "--algo", "hyper", "--n", "24", "--i", "2", "--j", "15", count, "1"
+            )
+            assert code == 2
+            assert out == ""
+            assert "--g is required" in err
 
     def test_parameter_error_names_inequality(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "yao", "--n", "3", "--i", "2", "--j", "2", "--seed", "1")
         assert code == 2
         assert "i + j + 1 <= n" in err
+
+    # Pinned rows: a changed element, rank, tally or stage count shows up here.
+    @pytest.mark.parametrize("argv,row", [
+        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,105,0,,"),
+        ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,33,9,,"),
+        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,37,9,,"),
+        ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,24,0,,"),
+        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,43,9,,"),
+        ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,34,18,,"),
+        ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
+        ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,318,,,false"),
+        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,563,,3,false"),
+    ])
+    def test_golden_rows(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, "run", "--algo", *argv.split())
+        assert code == 0
+        assert out == f"{cli.RUN_HEADER}\n{row}\n"
 
     def test_reruns_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "run", "--algo", "a2", "--n", "200", "--i", "40", "--j", "40", "--seed", "9")
@@ -162,12 +191,23 @@ class TestBench:
         assert 0.0 <= float(record["failure_rate"]) <= 1.0
 
     def test_trials_must_be_positive(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "bench", "--algo", "yao", "--n", "10", "--i", "1", "--j", "1",
             "--trials", "0",
         )
         assert code == 2
+        assert out == ""
         assert "trials >= 1" in err
+
+    def test_failing_trial_prints_nothing(self, capsys):
+        # every trial runs before the header is printed, so exit 2 leaves stdout empty
+        code, out, err = run_cli(
+            capsys, "bench", "--algo", "hyper", "--g", "3", "--n", "24", "--i", "2", "--j", "15",
+            "--trials", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "power of 2" in err
 
     def test_single_trial_replays_as_run(self, capsys):
         # trial t of a bench is exactly `run` with seed seed_base + t
@@ -233,6 +273,58 @@ class TestPlotData:
         code, _, err = run_cli(capsys, "plot-data", "--from", "0.01", "--to", "0.35", "--step", "0.01")
         assert code == 2
         assert "1/3" in err
+
+
+def test_reproduce_tables_script_matches_cli(capsys, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"), "--out-dir", str(tmp_path)],
+        env=env, check=True, capture_output=True,
+    )
+    expected = {f"{which}_table.csv": ("table", "--which", which) for which in ("f", "constants", "hyper4")}
+    expected["curve.csv"] = ("plot-data", "--from", "0.005", "--to", "0.33", "--step", "0.005")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+    for name, argv in expected.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (tmp_path / name).read_text() == out
+
+
+@given(
+    command=st.sampled_from(["run", "bench"]),
+    algo=st.sampled_from(["yao", "a1", "hyper", "a2", "a2lv"]),
+    n=st.integers(0, 64),
+    g=st.one_of(st.none(), st.integers(0, 9)),
+    exact=st.sampled_from(["mom", "sort"]),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(0, 3),
+    baseline=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_exit_contract_fuzz(command, algo, n, g, exact, seed, trials, baseline, data):
+    # i and j are drawn against n so that valid and invalid shapes both come up often
+    i = data.draw(st.integers(-1, n), label="i")
+    j = data.draw(st.integers(-1, n - max(i, 0)), label="j")
+    argv = [command, "--algo", algo, "--n", str(n), "--i", str(i), "--j", str(j), "--exact", exact]
+    if command == "run":
+        argv += ["--seed", str(seed)]
+    else:
+        argv += ["--trials", str(trials), "--seed-base", str(seed)]
+        if baseline:
+            argv += ["--baseline", "fr-median"]
+    if g is not None:
+        argv += ["--g", str(g)]
+    out, err = io.StringIO(), io.StringIO()
+    # an exception escaping main would fail the test with its traceback
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    if code == 3:
+        assert command == "run" and algo == "a2"
 
 
 def test_module_entry_point_runs():
