@@ -47,11 +47,43 @@ def _insertion_sort_range(arr: list, lo: int, hi: int, cmp: CountingComparator) 
         arr[pos] = v
 
 
+def _group_fives(vals: list, cmp: CountingComparator) -> list[tuple]:
+    """Each full group of five as (low, low, median, high, high), 6 comparisons each.
+
+    Knuth's procedure (TAOCP vol. 3, 5.3.3): order two pairs, drop the lower
+    end of the pair with the smaller low, pair the fifth element with the
+    survivor and repeat; the median is the smaller of the two remaining
+    candidates.  In each tuple the lows are <= the median <= the highs.
+    Trailing elements that fill no group are left out.
+    """
+    less = cmp.less
+    groups = []
+    for a, b, c, d, e in zip(*[iter(vals)] * 5):
+        if less(b, a):
+            a, b = b, a
+        if less(d, c):
+            c, d = d, c
+        if less(c, a):
+            a, b, c, d = c, d, a, b
+        # a <= b, c, d: a is one of the two lowest; b takes the fifth's place
+        if less(e, b):
+            b, e = e, b
+        if less(c, b):
+            b, c, d, e = c, b, e, d
+        # b <= c, d, e: b is the other low; the median is min(c, e)
+        if less(e, c):
+            c, e = e, c
+        groups.append((a, b, c, d, e))
+    return groups
+
+
 def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
     """t-th smallest (0-based) of the multiset vals, groups-of-5 pivoting.
 
     Worst-case linear comparisons; duplicates supported (a value's copies
-    occupy consecutive ranks, any of which yields the same answer).
+    occupy consecutive ranks, any of which yields the same answer).  The
+    partition compares only a group's median with the pivot and then the two
+    members on the side the median does not settle.
     """
     less = cmp.less
     while True:
@@ -59,19 +91,30 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
         if n <= 5:
             _insertion_sort_range(vals, 0, n - 1, cmp)
             return vals[t]
-        medians = []
+        groups = _group_fives(vals, cmp)
+        medians = [group[2] for group in groups]
         full = n - n % 5
-        for base in range(0, full, 5):
-            _insertion_sort_range(vals, base, base + 4, cmp)
-            medians.append(vals[base + 2])
         if full < n:
             _insertion_sort_range(vals, full, n - 1, cmp)
             medians.append(vals[full + (n - full) // 2])
         pivot = _mom_smallest(medians, len(medians) // 2, cmp)
         below: list = []
         above: list = []
+        unsettled = vals[full:]
         eq = 0
-        for v in vals:
+        for lo0, lo1, median, hi0, hi1 in groups:
+            if median == pivot:
+                # lows <= pivot <= highs: only copies of the pivot need sorting out
+                eq += (lo0, lo1, median, hi0, hi1).count(pivot)
+                below += [v for v in (lo0, lo1) if v != pivot]
+                above += [v for v in (hi0, hi1) if v != pivot]
+            elif less(median, pivot):
+                below += (lo0, lo1, median)
+                unsettled += (hi0, hi1)
+            else:
+                above += (median, hi0, hi1)
+                unsettled += (lo0, lo1)
+        for v in unsettled:
             if v == pivot:
                 eq += 1
             elif less(v, pivot):

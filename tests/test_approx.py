@@ -239,6 +239,20 @@ class TestA2Once:
                 assert is_mediocre(out.element, inst)
         assert hits > 0
 
+    @pytest.mark.parametrize("n,i,j", [(500, 100, 0), (300, 0, 16)])
+    def test_failure_rate_at_an_empty_side(self, n, i, j):
+        # the 2 m^(-1/4) failure bound must survive the clamped sample rank
+        bound = 2.0 * a2_params(i, j, n).m ** -0.25
+        failures = 0
+        for seed in range(1000):
+            inst = generate_instance(n, i, j, seed=seed)
+            out = a2_once(inst, None, CountingComparator(), Rng(seed))
+            if out.failed:
+                failures += 1
+            else:
+                assert is_mediocre(out.element, inst)
+        assert failures / 1000 <= bound
+
     def test_requires_rng(self):
         inst = generate_instance(60, 16, 16, seed=0)
         with pytest.raises(ValueError, match="requires an Rng"):

@@ -115,12 +115,12 @@ class TestRun:
 
     # Pinned rows: a changed element, rank, tally or stage count shows up here.
     @pytest.mark.parametrize("argv,row", [
-        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,105,0,,"),
-        ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,33,9,,"),
-        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,37,9,,"),
-        ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,24,0,,"),
-        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,43,9,,"),
-        ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,34,18,,"),
+        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,74,0,,"),
+        ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,26,9,,"),
+        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,25,9,,"),
+        ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,20,0,,"),
+        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,36,9,,"),
+        ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
         ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
         ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,318,,,false"),
         ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,563,,3,false"),

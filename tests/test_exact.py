@@ -1,6 +1,6 @@
 import math
 import statistics
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
+    _group_fives,
     select_by_sort,
     select_floyd_rivest,
     select_mom,
@@ -27,6 +28,20 @@ class RecordingComparator(CountingComparator):
     def less(self, a, b):
         self.seen.add(a)
         self.seen.add(b)
+        return super().less(a, b)
+
+
+class AuditComparator(CountingComparator):
+    """Counts invocations of less() independently of the tally."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def less(self, a, b):
+        self.calls += 1
         return super().less(a, b)
 
 
@@ -72,12 +87,28 @@ class TestSelectMom:
             assert select_mom(vals, k, CountingComparator()) == ordered[len(vals) - k]
 
     def test_tally_ceiling_at_1e5(self):
-        # loose sanity ceiling; measured mean is about 8n on random input
+        # loose worst-case ceiling on every input; the median costs about
+        # 5.9n on each of these: a pass spends 6 comparisons per group of
+        # five on its median and 3 per group to partition, 1.8 per element
         n = 100_000
-        inst = generate_instance(n, 0, 0, seed=17)
-        cmp = CountingComparator()
-        select_mom(inst.elements, n // 2, cmp)
-        assert cmp.comparisons <= 25 * n
+        random = generate_instance(n, 0, 0, seed=17).elements
+        ascending = list(range(n))
+        organ_pipe = list(range(0, n, 2)) + list(range(n - 1, 0, -2))
+        for buf in (random, ascending, ascending[::-1], organ_pipe):
+            cmp = CountingComparator()
+            assert select_mom(buf, n // 2, cmp) == select_by_sort(buf, n // 2)
+            assert cmp.comparisons <= 25 * n
+            if buf is random:
+                assert cmp.comparisons <= 6 * n
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_small_alphabet_oracle(self, vals):
+        # copies of the pivot can sit on a group's settled side
+        for k in range(1, len(vals) + 1):
+            cmp = AuditComparator()
+            assert select_mom(vals, k, cmp) == select_by_sort(vals, k)
+            assert cmp.comparisons == cmp.calls
 
     def test_never_touches_outside_buffer(self):
         inst = generate_instance(200, 0, 0, seed=4)
@@ -90,6 +121,28 @@ class TestSelectMom:
         buf = [5, 3, 9, 1]
         select_mom(buf, 2, CountingComparator())
         assert buf == [5, 3, 9, 1]
+
+
+class TestGroupFives:
+    @pytest.mark.parametrize("groups", [
+        list(permutations(range(5))),
+        list(product(range(3), repeat=5)),
+    ], ids=["permutations", "multisets"])
+    def test_six_comparisons_and_layout(self, groups):
+        for group in groups:
+            cmp = CountingComparator()
+            [layout] = _group_fives(list(group), cmp)
+            median = sorted(group)[2]
+            assert cmp.comparisons == 6
+            assert layout[2] == median
+            assert sorted(layout) == sorted(group)
+            assert max(layout[:2]) <= median <= min(layout[3:])
+
+    def test_only_full_groups(self):
+        cmp = CountingComparator()
+        groups = _group_fives([9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 12, 11], cmp)
+        assert [group[2] for group in groups] == [7, 2]
+        assert cmp.comparisons == 12
 
 
 class TestTournament:
@@ -195,17 +248,6 @@ class TestFloydRivest:
 
 class TestInstrumentationSoundness:
     def test_tally_equals_invocations(self):
-        class AuditComparator(CountingComparator):
-            __slots__ = ("calls",)
-
-            def __init__(self):
-                super().__init__()
-                self.calls = 0
-
-            def less(self, a, b):
-                self.calls += 1
-                return super().less(a, b)
-
         inst = generate_instance(500, 0, 0, seed=6)
         for run in (
             lambda c: select_mom(inst.elements, 77, c),
