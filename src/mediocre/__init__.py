@@ -20,15 +20,10 @@ from .core import (
     rank_of,
 )
 from .costmodel import (
-    CostPoint,
     InstanceConstants,
-    cost_point,
     curve,
     f,
-    f_table,
-    constants_table,
     g,
-    hyper4_table,
     instance_constants,
     l_star,
     lower_bound,
@@ -43,7 +38,6 @@ from .exact import (
 
 __all__ = [
     "A2Params",
-    "CostPoint",
     "CountingComparator",
     "Element",
     "Instance",
@@ -54,14 +48,10 @@ __all__ = [
     "a2_las_vegas",
     "a2_once",
     "a2_params",
-    "constants_table",
-    "cost_point",
     "curve",
     "f",
-    "f_table",
     "g",
     "generate_instance",
-    "hyper4_table",
     "hyperpair_select",
     "instance_constants",
     "is_mediocre",

@@ -20,17 +20,11 @@ import sys
 
 from .approx import a1_select, a2_las_vegas, a2_once, hyperpair_select, yao_select
 from .core import CountingComparator, Instance, Rng, SelectionOutcome, generate_instance, rank_of
-from .costmodel import curve, lower_bound, tables
+from .costmodel import TABLES, curve, lower_bound, tables
 from .exact import select_by_sort, select_floyd_rivest, select_mom
 
 _ALGO_RNG_TAG = 1 << 63
 _BASELINE_RNG_TAG = 1 << 62
-
-_TABLE_HEADERS = {
-    "f": "alpha,l,g_l,g_l1,f",
-    "constants": "alpha,c_a1,c_yao",
-    "hyper4": "alpha,c_a4,c_yao4",
-}
 
 _EXACT = {"mom": select_mom, "sort": select_by_sort}
 
@@ -48,25 +42,22 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _csv_row(row: tuple, alpha_spec: str) -> str:
+    """alpha in alpha_spec, then ints as is and floats to four decimals."""
+    alpha, *cells = row
+    cells = [str(c) if isinstance(c, int) else _fmt(c) for c in cells]
+    return ",".join([format(alpha, alpha_spec), *cells])
+
+
 def table_lines(which: str) -> list[str]:
     """The CSV lines of a published cost table, header first."""
-    lines = [_TABLE_HEADERS[which]]
-    for row in tables(which):
-        if which == "f":
-            alpha, l, g_l, g_l1, f_val = row
-            lines.append(f"{alpha:.2f},{l},{_fmt(g_l)},{_fmt(g_l1)},{_fmt(f_val)}")
-        else:
-            alpha, left, right = row
-            lines.append(f"{alpha:.2f},{_fmt(left)},{_fmt(right)}")
-    return lines
+    return [TABLES[which][0]] + [_csv_row(row, ".2f") for row in tables(which)]
 
 
 def curve_lines(alpha_from: float, alpha_to: float, step: float) -> list[str]:
     """The CSV lines of the cost-constant curve on an alpha grid, header first."""
     rows = curve(alpha_from, alpha_to, step)
-    return [_TABLE_HEADERS["constants"]] + [
-        f"{alpha:.4f},{_fmt(c_a1)},{_fmt(c_yao)}" for alpha, c_a1, c_yao in rows
-    ]
+    return [TABLES["constants"][0]] + [_csv_row(row, ".4f") for row in rows]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -161,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="reproduce a published cost table as CSV")
-    p.add_argument("--which", required=True, choices=["f", "constants", "hyper4"])
+    p.add_argument("--which", required=True, choices=list(TABLES))
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("run", help="one seeded selection run with an oracle check")

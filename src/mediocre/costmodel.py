@@ -2,36 +2,16 @@
 
 The per-element cost of selecting the (alpha*n)-th largest with the best known
 non-recursive deterministic selector is modelled by g(alpha, l); the fine-tuned
-f(alpha) takes the better of two adjacent l values and is optionally capped by
-the flat worst-case bounds 3 or 2.95.  From f the per-element constants of the
-prefix scheme (Yao) and of the pairing/hyperpair schemes follow in closed form.
+f(alpha) takes the better of two adjacent l values, capped at the flat
+worst-case bound 3.  From f the per-element constants of the prefix scheme
+(Yao) and of the pairing/hyperpair schemes follow in closed form.  `TABLES`
+holds each published table's CSV header, percentile grid and row function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
-
-Variant = Literal["plain", "cap3", "cap295"]
-
-_CAPS: dict[str, float] = {"plain": math.inf, "cap3": 3.0, "cap295": 2.95}
-
-# Percentile grids of the published tables.
-F_TABLE_PERCENTILES = range(1, 34)
-HYPER4_PERCENTILES = range(9, 17)
-
-
-@dataclass(slots=True)
-class CostPoint:
-    """One row of the fine-tuned cost table."""
-
-    alpha: float
-    l_star: int
-    g_l: float
-    g_l1: float
-    f: float
-    variant: Variant = "cap3"
 
 
 @dataclass(slots=True)
@@ -72,8 +52,8 @@ def l_star(alpha: float) -> int:
     return max(1, math.ceil(x + math.log2(x)) - 1)
 
 
-def f(alpha: float, variant: Variant = "cap3") -> float:
-    """Fine-tuned cost constant: best of g at l_star and l_star + 1, capped.
+def f(alpha: float) -> float:
+    """Fine-tuned cost constant: best of g at l_star and l_star + 1, capped at 3.
 
     Defined on (0, 1); arguments above 1/2 reduce through the symmetry
     f(alpha) = f(1 - alpha).
@@ -83,24 +63,11 @@ def f(alpha: float, variant: Variant = "cap3") -> float:
     if alpha > 0.5:
         alpha = 1.0 - alpha
     l = l_star(alpha)
-    return min(g(alpha, l), g(alpha, l + 1), _CAPS[variant])
-
-
-def cost_point(alpha: float, variant: Variant = "cap3") -> CostPoint:
-    """f-table row at alpha (alpha in (0, 1/2])."""
-    l = l_star(alpha)
-    return CostPoint(
-        alpha=alpha,
-        l_star=l,
-        g_l=g(alpha, l),
-        g_l1=g(alpha, l + 1),
-        f=f(alpha, variant),
-        variant=variant,
-    )
+    return min(g(alpha, l), g(alpha, l + 1), 3.0)
 
 
 def instance_constants(alpha: float) -> InstanceConstants:
-    """All four scheme constants at alpha, evaluated with the cap-3 variant."""
+    """All four scheme constants at alpha."""
     if not 0.0 < alpha < 1.0 / 3.0:
         raise ValueError(f"0 < alpha < 1/3 violated: alpha = {alpha}")
     c_a1 = (1.0 + f(2.0 * alpha)) / 2.0
@@ -129,43 +96,40 @@ def lower_bound(i: int, j: int) -> int:
     return (ratio - 1).bit_length()
 
 
-def f_table() -> list[CostPoint]:
-    """The 33 published f-table rows, alpha = s/100 for s = 1..33."""
-    return [cost_point(s / 100.0) for s in F_TABLE_PERCENTILES]
+def _f_row(alpha: float) -> tuple[float, int, float, float, float]:
+    l = l_star(alpha)
+    return alpha, l, g(alpha, l), g(alpha, l + 1), f(alpha)
 
 
-def constants_table() -> list[tuple[float, float, float]]:
-    """(alpha, c_a1, c_yao) for the 33 percentiles."""
-    rows = []
-    for s in F_TABLE_PERCENTILES:
-        ic = instance_constants(s / 100.0)
-        rows.append((ic.alpha, ic.c_a1, ic.c_yao))
-    return rows
+def _pair_row(alpha: float) -> tuple[float, float, float]:
+    ic = instance_constants(alpha)
+    return ic.alpha, ic.c_a1, ic.c_yao
 
 
-def hyper4_table() -> list[tuple[float, float, float]]:
-    """(alpha, c_a4, c_yao4) for percentiles 9..16."""
-    rows = []
-    for s in HYPER4_PERCENTILES:
-        ic = instance_constants(s / 100.0)
-        rows.append((ic.alpha, ic.c_a4, ic.c_yao4))
-    return rows
+def _group4_row(alpha: float) -> tuple[float, float, float]:
+    ic = instance_constants(alpha)
+    return ic.alpha, ic.c_a4, ic.c_yao4
+
+
+# name -> (CSV header, percentile grid alpha = s/100, row function)
+TABLES = {
+    "f": ("alpha,l,g_l,g_l1,f", range(1, 34), _f_row),
+    "constants": ("alpha,c_a1,c_yao", range(1, 34), _pair_row),
+    "hyper4": ("alpha,c_a4,c_yao4", range(9, 17), _group4_row),
+}
 
 
 def tables(which: str) -> list[tuple]:
-    """Row data for the named table: 'f', 'constants' or 'hyper4'."""
-    if which == "f":
-        return [(p.alpha, p.l_star, p.g_l, p.g_l1, p.f) for p in f_table()]
-    if which == "constants":
-        return constants_table()
-    if which == "hyper4":
-        return hyper4_table()
-    raise ValueError(f"unknown table {which!r}: expected f, constants or hyper4")
+    """Row data of the named published table, one row per percentile of its grid."""
+    if which not in TABLES:
+        raise ValueError(f"unknown table {which!r}: expected one of {', '.join(TABLES)}")
+    _, grid, row = TABLES[which]
+    return [row(s / 100.0) for s in grid]
 
 
 def curve(alpha_from: float, alpha_to: float, step: float) -> list[tuple[float, float, float]]:
     """(alpha, c_a1, c_yao) sampled on an inclusive grid inside (0, 1/3)."""
-    if step <= 0.0:
+    if not 0.0 < step < math.inf:
         raise ValueError(f"step > 0 violated: step = {step}")
     if not 0.0 < alpha_from < alpha_to:
         raise ValueError(
@@ -174,10 +138,6 @@ def curve(alpha_from: float, alpha_to: float, step: float) -> list[tuple[float, 
     if alpha_to >= 1.0 / 3.0:
         raise ValueError(f"alpha_to < 1/3 violated: to = {alpha_to}")
     count = int(math.floor((alpha_to - alpha_from) / step + 1e-9)) + 1
-    rows = []
-    for idx in range(count):
-        # snap away accumulated binary drift so grid points that coincide
-        # with table percentiles evaluate identically
-        ic = instance_constants(round(alpha_from + idx * step, 12))
-        rows.append((ic.alpha, ic.c_a1, ic.c_yao))
-    return rows
+    # snap away accumulated binary drift so grid points that coincide
+    # with table percentiles evaluate identically
+    return [_pair_row(round(alpha_from + idx * step, 12)) for idx in range(count)]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -273,6 +274,32 @@ class TestPlotData:
         code, _, err = run_cli(capsys, "plot-data", "--from", "0.01", "--to", "0.35", "--step", "0.01")
         assert code == 2
         assert "1/3" in err
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_is_usage_error(self, capsys, step):
+        code, out, err = run_cli(capsys, "plot-data", "--from", "0.1", "--to", "0.2", "--step", step)
+        assert code == 2
+        assert out == ""
+        assert "step" in err
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("table", "--which", "f"),
+         "3a5d23919d19f58625ce922461a271c36b613e407d05261ee1229ce55ed091db"),
+        (("table", "--which", "constants"),
+         "6185776bac014acf18e0f804f5361100c2c4f15da0e1d9595ec8613fe77f2efe"),
+        (("table", "--which", "hyper4"),
+         "c420d94782a2bdd4e64834c0e118df856de2b76775338a6cbfb7844f95cc1992"),
+        (("plot-data", "--from", "0.005", "--to", "0.33", "--step", "0.005"),
+         "19cb518ee69921d7c3403dd98f536fc7b8cedc5cb8cfea3ae4150e1e68cea188"),
+    ],
+)
+def test_table_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reproduce_tables_script_matches_cli(capsys, tmp_path):

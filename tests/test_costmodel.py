@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediocre.costmodel import (
-    constants_table,
-    cost_point,
     curve,
     f,
-    f_table,
     g,
-    hyper4_table,
     instance_constants,
     l_star,
     lower_bound,
@@ -71,8 +67,11 @@ class TestF:
 
     @given(st.floats(0.001, 0.999))
     @settings(max_examples=200)
-    def test_variant_caps_are_monotone(self, alpha):
-        assert f(alpha, "cap295") <= f(alpha, "cap3") <= f(alpha, "plain")
+    def test_best_adjacent_l_capped_at_three(self, alpha):
+        a = min(alpha, 1.0 - alpha)
+        l = l_star(a)
+        assert f(alpha) == min(g(a, l), g(a, l + 1), 3.0)
+        assert f(alpha) <= 3.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.7])
     def test_domain(self, alpha):
@@ -80,11 +79,12 @@ class TestF:
             f(alpha)
 
     def test_cost_point_bundles_the_candidates(self):
-        p = cost_point(0.04)
-        assert p.l_star == 6
-        assert p.g_l == pytest.approx(1.4400, abs=1e-4)
-        assert p.g_l1 == pytest.approx(1.4275, abs=1e-4)
-        assert p.f == min(p.g_l, p.g_l1)
+        alpha, l, g_l, g_l1, f_val = tables("f")[3]
+        assert alpha == 0.04
+        assert l == 6
+        assert g_l == pytest.approx(1.4400, abs=1e-4)
+        assert g_l1 == pytest.approx(1.4275, abs=1e-4)
+        assert f_val == min(g_l, g_l1)
 
 
 class TestInstanceConstants:
@@ -146,16 +146,17 @@ class TestLowerBound:
 
 class TestTables:
     def test_f_table_row_counts_and_types(self):
-        rows = f_table()
+        rows = tables("f")
         assert len(rows) == 33
-        assert rows[0].alpha == pytest.approx(0.01)
+        assert rows[0][0] == pytest.approx(0.01)
+        assert all(isinstance(row[1], int) for row in rows)
 
     def test_constants_table_strict_inequality(self):
-        for alpha, c_a1, c_yao in constants_table():
+        for alpha, c_a1, c_yao in tables("constants"):
             assert c_a1 < c_yao, alpha
 
     def test_hyper4_table_shape(self):
-        rows = hyper4_table()
+        rows = tables("hyper4")
         assert len(rows) == 8
         assert rows[0][0] == pytest.approx(0.09)
 
@@ -169,12 +170,7 @@ class TestTables:
 
 class TestCurve:
     def test_grid_matches_table(self):
-        rows = curve(0.01, 0.33, 0.01)
-        assert len(rows) == 33
-        table = constants_table()
-        for got, want in zip(rows, table):
-            assert got[1] == pytest.approx(want[1], abs=1e-12)
-            assert got[2] == pytest.approx(want[2], abs=1e-12)
+        assert curve(0.01, 0.33, 0.01) == tables("constants")
 
     def test_finer_grid(self):
         rows = curve(0.005, 0.325, 0.005)
@@ -193,3 +189,6 @@ class TestCurve:
             curve(0.01, 0.34, 0.01)
         with pytest.raises(ValueError):
             curve(0.01, 0.3, 0.0)
+        for step in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="step > 0 violated"):
+                curve(0.1, 0.2, step)
