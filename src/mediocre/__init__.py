@@ -33,7 +33,7 @@ from .exact import (
     select_by_sort,
     select_floyd_rivest,
     select_mom,
-    select_second_tournament,
+    select_tournament,
 )
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "select_by_sort",
     "select_floyd_rivest",
     "select_mom",
-    "select_second_tournament",
+    "select_tournament",
     "tables",
     "yao_select",
 ]

@@ -68,7 +68,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed: int) -> SelectionOutcome:
     """One seeded trial of algo on the instance of seed, on a fresh comparator.
 
-    fr-median is the baseline: exact Floyd-Rivest median of the prefix subset.
+    fr-median is the baseline: yao's prefix scheme with Floyd-Rivest, the
+    exact (i+1)-th largest of the first i+j+1 elements (their median at i = j).
     """
     cmp = CountingComparator()
     if algo == "yao":
@@ -84,7 +85,7 @@ def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed:
     if algo == "a2lv":
         return a2_las_vegas(instance, None, cmp, Rng(seed ^ _ALGO_RNG_TAG))
     subset = instance.elements[: instance.i + instance.j + 1]
-    x = select_floyd_rivest(subset, (len(subset) + 1) // 2, cmp, Rng(seed ^ _BASELINE_RNG_TAG))
+    x = select_floyd_rivest(subset, instance.i + 1, cmp, Rng(seed ^ _BASELINE_RNG_TAG))
     return SelectionOutcome(element=x, comparisons=cmp.comparisons)
 
 

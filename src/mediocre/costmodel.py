@@ -127,8 +127,12 @@ def tables(which: str) -> list[tuple]:
     return [row(s / 100.0) for s in grid]
 
 
+# curve builds every row before any is printed; the published grids have at most 329 points
+_CURVE_POINTS_MAX = 10**6
+
+
 def curve(alpha_from: float, alpha_to: float, step: float) -> list[tuple[float, float, float]]:
-    """(alpha, c_a1, c_yao) sampled on an inclusive grid inside (0, 1/3)."""
+    """(alpha, c_a1, c_yao) sampled on an inclusive grid inside (0, 1/3), at most 10^6 points."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step > 0 violated: step = {step}")
     if not 0.0 < alpha_from < alpha_to:
@@ -137,7 +141,11 @@ def curve(alpha_from: float, alpha_to: float, step: float) -> list[tuple[float, 
         )
     if alpha_to >= 1.0 / 3.0:
         raise ValueError(f"alpha_to < 1/3 violated: to = {alpha_to}")
-    count = int(math.floor((alpha_to - alpha_from) / step + 1e-9)) + 1
+    span = (alpha_to - alpha_from) / step + 1e-9
+    if span >= _CURVE_POINTS_MAX:  # also a span that overflowed to inf
+        points = math.floor(span) + 1 if span < math.inf else span
+        raise ValueError(f"points <= {_CURVE_POINTS_MAX} violated: points = {points}")
+    count = int(span) + 1
     # snap away accumulated binary drift so grid points that coincide
     # with table percentiles evaluate identically
     return [_pair_row(round(alpha_from + idx * step, 12)) for idx in range(count)]

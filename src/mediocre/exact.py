@@ -1,4 +1,4 @@
-"""Exact selection primitives: sort oracle, median-of-medians, tournament, Floyd-Rivest.
+"""Exact selection primitives: sort oracle, tournament, median-of-medians, Floyd-Rivest.
 
 All selectors answer "k-th largest" questions, k counted from 1.  Apart from
 the sort oracle, every order query goes through the caller's
@@ -131,50 +131,68 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
             vals = above
 
 
+# Tournament worst case allowed, in units of P: within it no random pool of P <= 200 cost more than mom.
+_TOURNAMENT_BUDGET = 2
+
+
 def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> Element:
-    """k-th largest by median-of-medians: deterministic, worst-case linear."""
-    _check_k(buffer, k)
-    return _mom_smallest(list(buffer), len(buffer) - k, cmp)
+    """k-th largest, deterministic and worst-case linear.
 
-
-def select_second_tournament(buffer: Sequence[Element], cmp: CountingComparator) -> Element:
-    """Second largest via a single-elimination tournament plus a playoff.
-
-    Byes are granted in the first round only, so the bracket is perfect
-    afterwards and nobody plays more than ceil(log2 s) matches.  The playoff
-    runs among the direct losers to the champion, giving at most
-    s - 2 + ceil(log2 s) comparisons, with equality whenever s is a power of
-    two.
+    A knockout tournament when its worst case on P = len(buffer) elements,
+    P - 1 + (k' - 1) * ceil(log2 P) with k' = min(k, P - k + 1), is at most
+    _TOURNAMENT_BUDGET * P; median-of-medians otherwise.  The choice reads
+    only (P, k), never the data.
     """
-    s = len(buffer)
-    if s < 2:
-        raise ValueError(f"len(buffer) >= 2 violated: len = {s}")
+    _check_k(buffer, k)
+    size = len(buffer)
+    rank = min(k, size - k + 1)
+    if size - 1 + (rank - 1) * (size - 1).bit_length() <= _TOURNAMENT_BUDGET * size:
+        return select_tournament(buffer, k, cmp)
+    return _mom_smallest(list(buffer), size - k, cmp)
+
+
+def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> Element:
+    """k-th largest by one knockout tournament and k' - 1 replays.
+
+    k' = min(k, P - k + 1) on P = len(buffer) elements: a max-tournament
+    when k is nearer the top, a min-tournament when it is nearer the bottom.
+    The bracket holds leaf positions, not values, so copies of a value stay
+    apart; an odd trailing entry takes a bye at each level.  Each replay
+    empties the champion's leaf and replays only the matches on its path.
+    Costs at most P - 1 + (k' - 1) * ceil(log2 P) comparisons; for k = 2
+    that is Kislitsyn's P - 2 + ceil(log2 P), exact when P is a power of two.
+    """
+    _check_k(buffer, k)
+    vals = list(buffer)
+    size = len(vals)
+    rank = min(k, size - k + 1)
     less = cmp.less
-    full = 1 << (s - 1).bit_length()  # next power of two >= s
-    byes = full - s
-    # entrants: (value, values beaten so far)
-    survivors: list[tuple[Element, list[Element]]] = [(buffer[idx], []) for idx in range(byes)]
-    rest = [(buffer[idx], []) for idx in range(byes, s)]
-    while True:
-        for pos in range(0, len(rest), 2):
-            a, a_beat = rest[pos]
-            b, b_beat = rest[pos + 1]
-            if less(a, b):
-                b_beat.append(a)
-                survivors.append((b, b_beat))
-            else:
-                a_beat.append(b)
-                survivors.append((a, a_beat))
-        if len(survivors) == 1:
-            break
-        rest = survivors
-        survivors = []
-    _, losers = survivors[0]
-    runner_up = losers[0]
-    for v in losers[1:]:
-        if less(runner_up, v):
-            runner_up = v
-    return runner_up
+    # before(x, y): x is knocked out by y
+    before = less if rank == k else (lambda x, y: less(y, x))
+    level = list(range(size))
+    levels = [level]
+    while len(level) > 1:
+        winners = []
+        it = iter(level)
+        for a, b in zip(it, it):
+            winners.append(b if before(vals[a], vals[b]) else a)
+        if len(level) & 1:
+            winners.append(level[-1])
+        levels.append(winners)
+        level = winners
+    climbs = list(zip(levels, levels[1:]))
+    for _ in range(rank - 1):
+        pos = levels[-1][0]
+        levels[0][pos] = w = -1  # the emptied leaf loses every match unplayed
+        for below, above in climbs:
+            sib = pos ^ 1
+            if sib < len(below):
+                s = below[sib]
+                if w < 0 or (s >= 0 and before(vals[w], vals[s])):
+                    w = s
+            pos >>= 1
+            above[pos] = w
+    return vals[levels[-1][0]]
 
 
 def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -> Element:

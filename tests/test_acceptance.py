@@ -38,7 +38,7 @@ from mediocre.exact import (
     select_by_sort,
     select_floyd_rivest,
     select_mom,
-    select_second_tournament,
+    select_tournament,
 )
 
 
@@ -295,14 +295,14 @@ def test_criterion_05_count_identities():
         buf = list(range(k))
         Rng(k).shuffle(buf)
         cmp = CountingComparator()
-        second = select_second_tournament(buf, cmp)
+        second = select_tournament(buf, 2, cmp)
         if second != k - 2 or cmp.comparisons != k - 2 + int(math.log2(k)):
             bad.append(("tournament-pow2", k, cmp.comparisons))
     for k in list(range(2, 500)) + [777, 1500, 3000, 4095]:
         buf = list(range(k))
         Rng(k).shuffle(buf)
         cmp = CountingComparator()
-        second = select_second_tournament(buf, cmp)
+        second = select_tournament(buf, 2, cmp)
         if second != k - 2 or cmp.comparisons > k - 2 + math.ceil(math.log2(k)):
             bad.append(("tournament-bound", k, cmp.comparisons))
 
@@ -312,9 +312,22 @@ def test_criterion_05_count_identities():
         buf = list(range(j + 2))
         Rng(j).shuffle(buf)
         cmp = CountingComparator()
-        second = select_second_tournament(buf, cmp)
+        second = select_tournament(buf, 2, cmp)
         if second != j or cmp.comparisons > j + math.ceil(math.log2(j + 2)):
             bad.append(("second-largest-cost", j, cmp.comparisons))
+
+    # and so does yao_select with its default pool selector: the maximum of
+    # j+1 elements in j comparisons at i = 0, the second of j+2 at i = 1
+    for j in [0, 1, 2, 6, 14, 100, 1000, 4094]:
+        for i in (0, 1):
+            inst = generate_instance(i + j + 1, i, j, seed=j)
+            out = yao_select(inst, cmp=CountingComparator())
+            if i == 0:
+                cost_ok = out.comparisons == j
+            else:
+                cost_ok = out.comparisons <= j + math.ceil(math.log2(j + 2))
+            if not cost_ok or not is_mediocre(out.element, inst):
+                bad.append(("yao-default", i, j, out.comparisons))
 
     elapsed = time.time() - t0
     _report(5, "count identities", not bad and elapsed < 120.0, f"({elapsed:.1f}s) {bad}")
@@ -407,6 +420,8 @@ def _oracle_chunk(args):
             want = ordered[size - k]
             if select_mom(perm, k, CountingComparator()) != want:
                 bad.append(("mom", perm, k))
+            if select_tournament(perm, k, CountingComparator()) != want:
+                bad.append(("tournament", perm, k))
             if select_floyd_rivest(perm, k, CountingComparator(), Rng(k)) != want:
                 bad.append(("fr", perm, k))
     return bad

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import mediocre.cli as cli
 from mediocre.cli import main
+from mediocre.core import is_mediocre
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,10 +117,10 @@ class TestRun:
 
     # Pinned rows: a changed element, rank, tally or stage count shows up here.
     @pytest.mark.parametrize("argv,row", [
-        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,74,0,,"),
+        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,44,0,,"),
         ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,26,9,,"),
         ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,25,9,,"),
-        ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,20,0,,"),
+        ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,11,0,,"),
         ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,36,9,,"),
         ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
         ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
@@ -182,6 +183,13 @@ class TestBench:
         assert code == 0
         assert len(calls) == 3
         assert out.splitlines()[1] == alone.splitlines()[1]
+
+    @pytest.mark.parametrize("n,i,j", [(11, 0, 10), (30, 2, 20), (100, 5, 60)])
+    def test_baseline_element_is_mediocre_when_i_differs_from_j(self, n, i, j):
+        for seed in range(50):
+            instance = cli.generate_instance(n, i, j, seed)
+            out = cli._select("fr-median", instance, None, "mom", seed)
+            assert is_mediocre(out.element, instance), seed
 
     def test_mc_row_reports_failure_rate(self, capsys):
         code, out, _ = run_cli(
@@ -281,6 +289,14 @@ class TestPlotData:
         assert code == 2
         assert out == ""
         assert "step" in err
+
+    @pytest.mark.parametrize("step", ["1e-9", "1e-320"])
+    def test_oversized_grid_is_usage_error(self, capsys, step):
+        # 1e-9 asks for 10^8 + 1 rows; at 1e-320 the point count overflows a float
+        code, out, err = run_cli(capsys, "plot-data", "--from", "0.1", "--to", "0.2", "--step", step)
+        assert code == 2
+        assert out == ""
+        assert "points <= 1000000 violated" in err
 
 
 @pytest.mark.parametrize(

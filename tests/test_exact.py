@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
     _group_fives,
+    _mom_smallest,
     select_by_sort,
     select_floyd_rivest,
     select_mom,
-    select_second_tournament,
+    select_tournament,
 )
 
 
@@ -43,6 +44,11 @@ class AuditComparator(CountingComparator):
     def less(self, a, b):
         self.calls += 1
         return super().less(a, b)
+
+
+def tournament_bound(size, k):
+    """P - 1 + (k' - 1) * ceil(log2 P), k' = min(k, P - k + 1)."""
+    return size - 1 + (min(k, size - k + 1) - 1) * (size - 1).bit_length()
 
 
 class TestSelectBySort:
@@ -110,6 +116,20 @@ class TestSelectMom:
             assert select_mom(vals, k, cmp) == select_by_sort(vals, k)
             assert cmp.comparisons == cmp.calls
 
+    def test_rank_and_size_pick_the_tournament(self):
+        # the tournament runs exactly when its worst case is at most 2P
+        for size in (1, 2, 10, 26, 333, 1000):
+            buf = generate_instance(size, 0, 0, seed=size).elements
+            for k in sorted({1, 2, 3, 6, 50, 100, size // 2 + 1, size - 5, size - 1, size}):
+                if not 1 <= k <= size:
+                    continue
+                mom, tour, oracle = AuditComparator(), AuditComparator(), AuditComparator()
+                assert select_mom(buf, k, mom) == select_by_sort(buf, k)
+                select_tournament(buf, k, tour)
+                _mom_smallest(list(buf), size - k, oracle)
+                picks = tournament_bound(size, k) <= 2 * size
+                assert mom.calls == (tour.calls if picks else oracle.calls), (size, k)
+
     def test_never_touches_outside_buffer(self):
         inst = generate_instance(200, 0, 0, seed=4)
         buf = inst.elements[:50]
@@ -148,13 +168,13 @@ class TestGroupFives:
 class TestTournament:
     def test_two_elements(self):
         cmp = CountingComparator()
-        assert select_second_tournament([7, 3], cmp) == 3
+        assert select_tournament([7, 3], 2, cmp) == 3
         assert cmp.comparisons == 1
 
     def test_four_elements_count_and_value(self):
         for perm in permutations(range(4)):
             cmp = CountingComparator()
-            assert select_second_tournament(perm, cmp) == 2
+            assert select_tournament(perm, 2, cmp) == 2
             assert cmp.comparisons == 4  # 4 - 2 + log2(4)
 
     @pytest.mark.parametrize("size", [2, 4, 8, 16, 256, 1024, 4096])
@@ -162,7 +182,7 @@ class TestTournament:
         buf = list(range(size))
         Rng(size).shuffle(buf)
         cmp = CountingComparator()
-        assert select_second_tournament(buf, cmp) == size - 2
+        assert select_tournament(buf, 2, cmp) == size - 2
         assert cmp.comparisons == size - 2 + int(math.log2(size))
 
     @given(st.integers(2, 700), st.integers(0, 2**32))
@@ -171,7 +191,7 @@ class TestTournament:
         buf = list(range(size))
         Rng(seed).shuffle(buf)
         cmp = CountingComparator()
-        assert select_second_tournament(buf, cmp) == size - 2
+        assert select_tournament(buf, 2, cmp) == size - 2
         assert cmp.comparisons <= size - 2 + math.ceil(math.log2(size))
 
     def test_second_of_j_plus_2_matches_closed_form(self):
@@ -179,12 +199,33 @@ class TestTournament:
         buf = list(range(8))
         Rng(5).shuffle(buf)
         cmp = CountingComparator()
-        assert select_second_tournament(buf, cmp) == 6
+        assert select_tournament(buf, 2, cmp) == 6
         assert cmp.comparisons <= 9
 
     def test_too_small_buffer(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            select_second_tournament([1], CountingComparator())
+        with pytest.raises(ValueError, match="1 <= k <= len"):
+            select_tournament([1], 2, CountingComparator())
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 4), min_size=1, max_size=300),
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=300),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_and_bound_for_every_k(self, vals):
+        # copies of a value occupy distinct leaves, and replays from either end
+        for k in range(1, len(vals) + 1):
+            cmp = AuditComparator()
+            assert select_tournament(vals, k, cmp) == select_by_sort(vals, k)
+            assert cmp.comparisons <= tournament_bound(len(vals), k)
+            assert cmp.comparisons == cmp.calls
+
+    def test_never_touches_outside_buffer(self):
+        inst = generate_instance(200, 0, 0, seed=4)
+        buf = inst.elements[:50]
+        for k in (1, 3, 48):
+            cmp = RecordingComparator()
+            select_tournament(buf, k, cmp)
+            assert cmp.seen <= set(buf)
 
 
 class TestFloydRivest:
@@ -251,7 +292,7 @@ class TestInstrumentationSoundness:
         inst = generate_instance(500, 0, 0, seed=6)
         for run in (
             lambda c: select_mom(inst.elements, 77, c),
-            lambda c: select_second_tournament(inst.elements, c),
+            lambda c: select_tournament(inst.elements, 77, c),
             lambda c: select_floyd_rivest(inst.elements, 250, c, Rng(1)),
         ):
             cmp = AuditComparator()
