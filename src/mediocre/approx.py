@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .core import CountingComparator, Element, Instance, Rng, SelectionOutcome
-from .exact import _fr_smallest, select_mom
+from .exact import _fr_smallest
 
 ExactSelector = Callable[[Sequence[Element], int, CountingComparator], Element]
 
@@ -55,11 +55,7 @@ def _group_max(values: Sequence[Element], g: int, cmp: CountingComparator) -> Se
 
 
 def grouped_select(
-    instance: Instance,
-    g: int,
-    size: int,
-    exact: ExactSelector,
-    cmp: CountingComparator | None = None,
+    instance: Instance, g: int, size: int, exact: ExactSelector, cmp: CountingComparator
 ) -> SelectionOutcome:
     """Grouped scheme: the (i+1)-th largest knockout maximum of the first size elements.
 
@@ -69,8 +65,6 @@ def grouped_select(
     wholly below it, as does the rest of its own group, which guards the
     bottom.  The outcome records the knockout tally as stage_comparisons.
     """
-    if cmp is None:
-        cmp = CountingComparator()
     start = cmp.comparisons
     pool = _group_max(instance.elements[:size], g, cmp)
     stage = cmp.comparisons - start
@@ -78,11 +72,7 @@ def grouped_select(
     return SelectionOutcome(x, cmp.comparisons - start, stage)  # positional: cheaper per call
 
 
-def yao_select(
-    instance: Instance,
-    exact: ExactSelector = select_mom,
-    cmp: CountingComparator | None = None,
-) -> SelectionOutcome:
+def yao_select(instance: Instance, exact: ExactSelector, cmp: CountingComparator) -> SelectionOutcome:
     """Prefix scheme: the (i+1)-th largest of the first i+j+1 elements (g = 1).
 
     Whatever beats it inside the subset gives the i guard above; whatever it
@@ -91,11 +81,7 @@ def yao_select(
     return grouped_select(instance, 1, instance.i + instance.j + 1, exact, cmp)
 
 
-def a1_select(
-    instance: Instance,
-    exact: ExactSelector = select_mom,
-    cmp: CountingComparator | None = None,
-) -> SelectionOutcome:
+def a1_select(instance: Instance, exact: ExactSelector, cmp: CountingComparator) -> SelectionOutcome:
     """Pairing scheme: pre-compare disjoint pairs, then select among winners (g = 2).
 
     Applies on i <= j <= n - 2i - 1; outside that range it degrades to the
@@ -110,10 +96,7 @@ def a1_select(
 
 
 def hyperpair_select(
-    instance: Instance,
-    group_size: int,
-    exact: ExactSelector = select_mom,
-    cmp: CountingComparator | None = None,
+    instance: Instance, group_size: int, exact: ExactSelector, cmp: CountingComparator
 ) -> SelectionOutcome:
     """Hyperpair scheme: knockout maxima of groups of a power-of-two size.
 
@@ -157,12 +140,7 @@ def a2_params(i: int, j: int, n: int) -> A2Params:
     return A2Params(m=m, r=r, k=k)
 
 
-def a2_once(
-    instance: Instance,
-    exact: ExactSelector | None = None,
-    cmp: CountingComparator | None = None,
-    rng: Rng | None = None,
-) -> SelectionOutcome:
+def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionOutcome:
     """One Monte Carlo round: sample, select the k-th smallest, verify.
 
     Draws r indices from the first m elements uniformly with replacement,
@@ -171,16 +149,11 @@ def a2_once(
     least i elements are larger and at least j smaller, otherwise the outcome
     is flagged failed.  A wrong element can never escape.
 
-    The sample selector defaults to the seeded sampling selector so the whole
-    round stays within m + O(m^(3/4)) comparisons; pass exact (e.g.
-    select_mom) to force a specific one.  Relations of sampled elements to
-    the candidate are resolved by the selection pass itself, so only
-    never-sampled elements are compared afterwards.
+    The sample is selected in place by the narrowing selector, so the whole
+    round stays within m + O(m^(3/4)) comparisons.  Relations of sampled
+    elements to the candidate are resolved by the selection pass itself, so
+    only never-sampled elements are compared afterwards.
     """
-    if rng is None:
-        raise ValueError("a2_once requires an Rng")
-    if cmp is None:
-        cmp = CountingComparator()
     params = a2_params(instance.i, instance.j, instance.n)
     m, r, k = params.m, params.r, params.k
     working = instance.elements[:m]
@@ -188,10 +161,7 @@ def a2_once(
     sample = [working[q] for q in idxs]
 
     start = cmp.comparisons
-    if exact is None:
-        x = _fr_smallest(sample, 0, r - 1, k - 1, cmp)
-    else:
-        x = exact(sample, r - k + 1, cmp)
+    x = _fr_smallest(sample, 0, r - 1, k - 1, cmp)
     # The selection pass already resolved every sampled element against x;
     # tallying those sides is bookkeeping, not new order queries.
     smaller = 0
@@ -216,25 +186,17 @@ def a2_once(
     )
 
 
-def a2_las_vegas(
-    instance: Instance,
-    exact: ExactSelector | None = None,
-    cmp: CountingComparator | None = None,
-    rng: Rng | None = None,
-    max_repetitions: int = _LAS_VEGAS_CAP,
-) -> SelectionOutcome:
+def a2_las_vegas(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionOutcome:
     """Repeat the Monte Carlo round with fresh samples until it succeeds.
 
     The returned outcome is never failed; its tally is cumulative across
-    repetitions.  The repetition cap only guards against implementation bugs:
-    with the failure probability bounded well below 1/2, reaching it honestly
-    is astronomically unlikely.
+    repetitions.  The repetition cap, _LAS_VEGAS_CAP, only guards against
+    implementation bugs: with the failure probability bounded well below 1/2,
+    reaching it honestly is astronomically unlikely.
     """
-    if cmp is None:
-        cmp = CountingComparator()
     start = cmp.comparisons
-    for rep in range(1, max_repetitions + 1):
-        out = a2_once(instance, exact, cmp, rng)
+    for rep in range(1, _LAS_VEGAS_CAP + 1):
+        out = a2_once(instance, cmp, rng)
         if not out.failed:
             return SelectionOutcome(
                 element=out.element,
@@ -243,6 +205,6 @@ def a2_las_vegas(
                 repetitions=rep,
             )
     raise RuntimeError(
-        f"sampling selection failed {max_repetitions} consecutive times; "
+        f"sampling selection failed {_LAS_VEGAS_CAP} consecutive times; "
         "this points at a broken sampler or comparator"
     )

@@ -81,9 +81,9 @@ def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed:
             raise ValueError("--g is required for --algo hyper")
         return hyperpair_select(instance, g, _EXACT[exact_name], cmp)
     if algo == "a2":
-        return a2_once(instance, None, cmp, Rng(seed ^ _ALGO_RNG_TAG))
+        return a2_once(instance, cmp, Rng(seed ^ _ALGO_RNG_TAG))
     if algo == "a2lv":
-        return a2_las_vegas(instance, None, cmp, Rng(seed ^ _ALGO_RNG_TAG))
+        return a2_las_vegas(instance, cmp, Rng(seed ^ _ALGO_RNG_TAG))
     subset = instance.elements[: instance.i + instance.j + 1]
     x = select_floyd_rivest(subset, instance.i + 1, cmp, Rng(seed ^ _BASELINE_RNG_TAG))
     return SelectionOutcome(element=x, comparisons=cmp.comparisons)
@@ -152,30 +152,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--algo", required=True, choices=["yao", "a1", "hyper", "a2", "a2lv"])
+    selection.add_argument("--n", required=True, type=int)
+    selection.add_argument("--i", required=True, type=int)
+    selection.add_argument("--j", required=True, type=int)
+    selection.add_argument("--exact", default="mom", choices=["mom", "sort"])
+    selection.add_argument("--g", type=int, help="group size (hyper only)")
+
     p = sub.add_parser("table", help="reproduce a published cost table as CSV")
     p.add_argument("--which", required=True, choices=list(TABLES))
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("run", help="one seeded selection run with an oracle check")
-    p.add_argument("--algo", required=True, choices=["yao", "a1", "hyper", "a2", "a2lv"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--i", required=True, type=int)
-    p.add_argument("--j", required=True, type=int)
+    p = sub.add_parser("run", parents=[selection], help="one seeded selection run with an oracle check")
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--exact", default="mom", choices=["mom", "sort"])
-    p.add_argument("--g", type=int, help="group size (hyper only)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", help="aggregate seeded trials into one CSV row")
-    p.add_argument("--algo", required=True, choices=["yao", "a1", "hyper", "a2", "a2lv"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--i", required=True, type=int)
-    p.add_argument("--j", required=True, type=int)
+    p = sub.add_parser("bench", parents=[selection], help="aggregate seeded trials into one CSV row")
     p.add_argument("--trials", required=True, type=int)
     p.add_argument("--seed-base", default=0, type=int)
     p.add_argument("--baseline", choices=["fr-median"])
-    p.add_argument("--exact", default="mom", choices=["mom", "sort"])
-    p.add_argument("--g", type=int)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("lower-bound", help="information-theoretic comparison lower bound")

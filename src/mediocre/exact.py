@@ -224,14 +224,7 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
         less = cmp.less
         low_out: list = []
         high_out: list = []
-        for idx in range(lo, wlo):
-            v = arr[idx]
-            if less(v, pivot):
-                low_out.append(v)
-            else:
-                high_out.append(v)
-        for idx in range(whi + 1, hi + 1):
-            v = arr[idx]
+        for v in arr[lo:wlo] + arr[whi + 1 : hi + 1]:
             if less(v, pivot):
                 low_out.append(v)
             else:

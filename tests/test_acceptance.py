@@ -316,12 +316,12 @@ def test_criterion_05_count_identities():
         if second != j or cmp.comparisons > j + math.ceil(math.log2(j + 2)):
             bad.append(("second-largest-cost", j, cmp.comparisons))
 
-    # and so does yao_select with its default pool selector: the maximum of
-    # j+1 elements in j comparisons at i = 0, the second of j+2 at i = 1
+    # and so does yao_select with select_mom as its pool selector: the maximum
+    # of j+1 elements in j comparisons at i = 0, the second of j+2 at i = 1
     for j in [0, 1, 2, 6, 14, 100, 1000, 4094]:
         for i in (0, 1):
             inst = generate_instance(i + j + 1, i, j, seed=j)
-            out = yao_select(inst, cmp=CountingComparator())
+            out = yao_select(inst, select_mom, CountingComparator())
             if i == 0:
                 cost_ok = out.comparisons == j
             else:
@@ -344,7 +344,7 @@ def test_criterion_06_a2_safety_and_failure_bound():
     for seed in range(1000):
         inst = generate_instance(n, i, j, seed=seed)
         cmp = CountingComparator()
-        out = a2_once(inst, None, cmp, Rng(seed))
+        out = a2_once(inst, cmp, Rng(seed))
         if out.failed:
             failures += 1
         elif not is_mediocre(out.element, inst):
@@ -367,7 +367,7 @@ def test_criterion_07_average_comparison_gap():
     for seed in range(100):
         inst = generate_instance(n, i, j, seed=seed)
         cmp = CountingComparator()
-        out = a2_las_vegas(inst, None, cmp, Rng(seed))
+        out = a2_las_vegas(inst, cmp, Rng(seed))
         lv_counts.append(out.comparisons)
     fr_counts = []
     for seed in range(100):

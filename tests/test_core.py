@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,11 +66,19 @@ class TestGenerateInstance:
             (0, 0, 0, "n >= 1"),
             (5, -1, 0, "i >= 0"),
             (5, 0, -2, "j >= 0"),
+            (5, 1, 1, "len(elements) == n"),
         ],
     )
     def test_invalid_parameters_name_the_inequality(self, n, i, j, fragment):
-        with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
-            generate_instance(n, i, j, seed=0)
+        # generate_instance always builds n elements, so only Instance sees a
+        # short tuple; Instance has no n >= 1 check, i + j + 1 <= n catches n = 0.
+        short = fragment == "len(elements) == n"
+        if not short:
+            with pytest.raises(ValueError, match=re.escape(fragment)):
+                generate_instance(n, i, j, seed=0)
+        direct = "i + j + 1 <= n" if fragment == "n >= 1" else fragment
+        with pytest.raises(ValueError, match=re.escape(direct)):
+            Instance(n=n, i=i, j=j, elements=tuple(range(n - short)))
 
     def test_instance_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
