@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .core import CountingComparator, Element, Instance, Rng, SelectionOutcome
+from .core import CountingComparator, Element, Instance, Rng, SelectionOutcome, _check_shape
 from .exact import _fr_smallest
 
 ExactSelector = Callable[[Sequence[Element], int, CountingComparator], Element]
@@ -122,10 +122,7 @@ def a2_params(i: int, j: int, n: int) -> A2Params:
     [ceil(sqrt(m)/2), r - floor(sqrt(m)/2)] that keeps it at least sqrt(m)/2
     ranks from either end of the sample.
     """
-    if i < 0:
-        raise ValueError(f"i >= 0 violated: i = {i}")
-    if j < 0:
-        raise ValueError(f"j >= 0 violated: j = {j}")
+    _check_shape(n, i, j)
     if i + j < 16:
         raise ValueError(f"i + j >= 16 violated: {i} + {j} < 16")
     m = _round_half_up(i + j + 2.0 * (i + j) ** 0.75)

@@ -60,9 +60,8 @@ def curve_lines(alpha_from: float, alpha_to: float, step: float) -> list[str]:
     return [TABLES["constants"][0]] + [_csv_row(row, ".4f") for row in rows]
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    print("\n".join(table_lines(args.which)))
-    return 0
+def cmd_table(args: argparse.Namespace) -> tuple[int, list[str]]:
+    return 0, table_lines(args.which)
 
 
 def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed: int) -> SelectionOutcome:
@@ -89,7 +88,7 @@ def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed:
     return SelectionOutcome(element=x, comparisons=cmp.comparisons)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> tuple[int, list[str]]:
     instance = generate_instance(args.n, args.i, args.j, args.seed)
     out = _select(args.algo, instance, args.g, args.exact, args.seed)
     rank = rank_of(out.element, instance)
@@ -97,13 +96,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage = out.stage_comparisons
     repetitions = out.repetitions if args.algo == "a2lv" else ""
     failed = str(out.failed).lower() if args.algo in ("a2", "a2lv") else ""
-    print(RUN_HEADER)
-    print(
+    row = (
         f"{args.algo},{args.n},{args.i},{args.j},{args.g if args.g is not None else ''},"
         f"{args.seed},{out.element},{rank},{'true' if mediocre else 'false'},"
         f"{out.comparisons},{stage if stage is not None else ''},{repetitions},{failed}"
     )
-    return 3 if out.failed else 0
+    return 3 if out.failed else 0, [RUN_HEADER, row]
 
 
 def _stats_row(algo: str, n: int, i: int, j: int, trials: int, seed_base: int, outcomes) -> str:
@@ -120,7 +118,7 @@ def _stats_row(algo: str, n: int, i: int, j: int, trials: int, seed_base: int, o
     )
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.trials < 1:
         raise ValueError(f"trials >= 1 violated: trials = {args.trials}")
     algos = [args.algo] + (["fr-median"] if args.baseline == "fr-median" else [])
@@ -129,20 +127,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         instance = generate_instance(args.n, args.i, args.j, seed)
         for algo in algos:
             outcomes[algo].append(_select(algo, instance, args.g, args.exact, seed))
-    print(BENCH_HEADER)
+    lines = [BENCH_HEADER]
     for algo in algos:
-        print(_stats_row(algo, args.n, args.i, args.j, args.trials, args.seed_base, outcomes[algo]))
-    return 0
+        lines.append(_stats_row(algo, args.n, args.i, args.j, args.trials, args.seed_base, outcomes[algo]))
+    return 0, lines
 
 
-def cmd_lower_bound(args: argparse.Namespace) -> int:
-    print(lower_bound(args.i, args.j))
-    return 0
+def cmd_lower_bound(args: argparse.Namespace) -> tuple[int, list[str]]:
+    return 0, [str(lower_bound(args.i, args.j))]
 
 
-def cmd_plot_data(args: argparse.Namespace) -> int:
-    print("\n".join(curve_lines(args.alpha_from, args.alpha_to, args.step)))
-    return 0
+def cmd_plot_data(args: argparse.Namespace) -> tuple[int, list[str]]:
+    return 0, curve_lines(args.alpha_from, args.alpha_to, args.step)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,13 +185,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; its CSV lines reach stdout only once it has returned."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, lines = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return status
 
 
 if __name__ == "__main__":

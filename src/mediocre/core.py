@@ -96,6 +96,16 @@ class Rng:
         return [self.below(bound) for _ in range(count)]
 
 
+def _check_shape(n: int, i: int, j: int) -> None:
+    """Raise unless an n-set has an element outside its top i and bottom j."""
+    if i < 0:
+        raise ValueError(f"i >= 0 violated: i = {i}")
+    if j < 0:
+        raise ValueError(f"j >= 0 violated: j = {j}")
+    if i + j + 1 > n:
+        raise ValueError(f"i + j + 1 <= n violated: {i} + {j} + 1 > {n}")
+
+
 @dataclass(slots=True)
 class Instance:
     """A selection problem: find an element outside the top i and bottom j of n.
@@ -109,14 +119,7 @@ class Instance:
     elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        if self.i < 0:
-            raise ValueError(f"i >= 0 violated: i = {self.i}")
-        if self.j < 0:
-            raise ValueError(f"j >= 0 violated: j = {self.j}")
-        if self.i + self.j + 1 > self.n:
-            raise ValueError(
-                f"i + j + 1 <= n violated: {self.i} + {self.j} + 1 > {self.n}"
-            )
+        _check_shape(self.n, self.i, self.j)
         if len(self.elements) != self.n:
             raise ValueError(
                 f"len(elements) == n violated: {len(self.elements)} != {self.n}"
@@ -145,12 +148,7 @@ def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
     """Instance over a seeded uniformly random permutation of 0..n-1."""
     if n < 1:
         raise ValueError(f"n >= 1 violated: n = {n}")
-    if i < 0:
-        raise ValueError(f"i >= 0 violated: i = {i}")
-    if j < 0:
-        raise ValueError(f"j >= 0 violated: j = {j}")
-    if i + j + 1 > n:
-        raise ValueError(f"i + j + 1 <= n violated: {i} + {j} + 1 > {n}")
+    _check_shape(n, i, j)
     perm = list(range(n))
     Rng(seed).shuffle(perm)
     return Instance(n=n, i=i, j=j, elements=tuple(perm))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _check_shape
+
 
 @dataclass(slots=True)
 class InstanceConstants:
@@ -88,10 +90,7 @@ def lower_bound(i: int, j: int) -> int:
     ceil(log2(N)) of a positive integer is (N-1).bit_length(), so the result
     is exact at every power-of-two boundary for any magnitude.
     """
-    if i < 0:
-        raise ValueError(f"i >= 0 violated: i = {i}")
-    if j < 0:
-        raise ValueError(f"j >= 0 violated: j = {j}")
+    _check_shape(i + j + 1, i, j)
     ratio = (j + 1) * math.comb(i + j + 1, i)
     return (ratio - 1).bit_length()
 

@@ -16,6 +16,9 @@ from .core import CountingComparator, Element, Rng
 # Floyd-Rivest drops to plain insertion selection below this size.  Measured
 # on random permutations this keeps the lower-order comparison overhead small
 # enough that the n + min(k, n-k) average is visible already at n ~ 10^4.
+# It must stay >= 10: only from size 11 on is the window, at most
+# ceil(size^(2/3)) + 2 * slack + 1 positions, narrower than its range; a
+# window spanning the whole range would recurse on it forever.
 _FR_SMALL = 32
 
 
@@ -216,9 +219,6 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
         loc = t - lo + 1
         wlo = max(lo, t - loc * window // size - slack)
         whi = min(hi, t + (size - loc) * window // size + slack)
-        if whi - wlo + 1 >= size:
-            _insertion_sort_range(arr, lo, hi, cmp)
-            return arr[t]
         _fr_smallest(arr, wlo, whi, t, cmp)
         pivot = arr[t]
         less = cmp.less

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations
 
 import pytest
@@ -195,9 +196,13 @@ class TestA2Params:
     def test_worked_example(self):
         assert a2_params(8, 8, 1000) == A2Params(m=32, r=13, k=6)
 
-    def test_too_small_exclusion_counts(self):
-        with pytest.raises(ValueError, match=r"i \+ j >= 16"):
-            a2_params(1, 1, 100)
+    @pytest.mark.parametrize(
+        "i,j,n,fragment",
+        [(1, 1, 100, "i + j >= 16"), (-1, 20, 100, "i >= 0"), (20, -1, 100, "j >= 0")],
+    )
+    def test_too_small_exclusion_counts(self, i, j, n, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            a2_params(i, j, n)
 
     def test_working_set_must_fit(self):
         with pytest.raises(ValueError, match="<= n violated"):

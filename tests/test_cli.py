@@ -234,14 +234,6 @@ class TestBench:
             assert float(bench_record["mean_comparisons"]) == float(run_record["comparisons"])
             assert bench_record["max_comparisons"] == run_record["comparisons"]
 
-    def test_thread_env_keeps_results_identical(self, capsys, monkeypatch):
-        args = ("bench", "--algo", "a2", "--n", "150", "--i", "30", "--j", "30",
-                "--trials", "8", "--seed-base", "5")
-        _, sequential, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("MEDIOCRE_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert sequential == threaded
-
 
 class TestLowerBound:
     @pytest.mark.parametrize("i,j,expected", [(0, 0, "0"), (1, 2, "4")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
+    _FR_SMALL,
     _group_fives,
     _mom_smallest,
     select_by_sort,
@@ -285,6 +286,14 @@ class TestFloydRivest:
             tallies.append(cmp.comparisons)
         mean = statistics.mean(tallies)
         assert 1.40 * n <= mean <= 1.60 * n, mean
+
+    def test_window_is_narrower_than_its_range(self):
+        # _fr_smallest has no exit for a window spanning its whole range: above
+        # _FR_SMALL the window and its slack must always leave a position out
+        for size in range(_FR_SMALL + 1, 2 * 10**5 + 1):
+            window = math.ceil(size ** (2.0 / 3.0))
+            slack = math.isqrt(window) // 2 + 1
+            assert window + 2 * slack + 1 < size, size
 
 
 class TestInstrumentationSoundness:
