@@ -69,7 +69,7 @@ def grouped_select(
     pool = _group_max(instance.elements[:size], g, cmp)
     stage = cmp.comparisons - start
     x = exact(pool, instance.i + 1, cmp)
-    return SelectionOutcome(x, cmp.comparisons - start, stage)  # positional: cheaper per call
+    return SelectionOutcome(x, stage)  # positional: cheaper per call
 
 
 def yao_select(instance: Instance, exact: ExactSelector, cmp: CountingComparator) -> SelectionOutcome:
@@ -157,7 +157,6 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     idxs = rng.sample_with_replacement(m, r)
     sample = [working[q] for q in idxs]
 
-    start = cmp.comparisons
     x = _fr_smallest(sample, 0, r - 1, k - 1, cmp)
     # The selection pass already resolved every sampled element against x;
     # tallying those sides is bookkeeping, not new order queries.
@@ -178,29 +177,21 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
         else:
             larger += 1
     ok = larger >= instance.i and smaller >= instance.j
-    return SelectionOutcome(
-        element=x, comparisons=cmp.comparisons - start, failed=not ok
-    )
+    return SelectionOutcome(x, failed=not ok)
 
 
 def a2_las_vegas(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionOutcome:
     """Repeat the Monte Carlo round with fresh samples until it succeeds.
 
-    The returned outcome is never failed; its tally is cumulative across
-    repetitions.  The repetition cap, _LAS_VEGAS_CAP, only guards against
+    The returned outcome is never failed; the comparator's tally covers every
+    repetition.  The repetition cap, _LAS_VEGAS_CAP, only guards against
     implementation bugs: with the failure probability bounded well below 1/2,
     reaching it honestly is astronomically unlikely.
     """
-    start = cmp.comparisons
     for rep in range(1, _LAS_VEGAS_CAP + 1):
         out = a2_once(instance, cmp, rng)
         if not out.failed:
-            return SelectionOutcome(
-                element=out.element,
-                comparisons=cmp.comparisons - start,
-                failed=False,
-                repetitions=rep,
-            )
+            return SelectionOutcome(out.element, repetitions=rep)
     raise RuntimeError(
         f"sampling selection failed {_LAS_VEGAS_CAP} consecutive times; "
         "this points at a broken sampler or comparator"

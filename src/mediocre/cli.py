@@ -64,13 +64,14 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, list[str]]:
     return 0, table_lines(args.which)
 
 
-def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed: int) -> SelectionOutcome:
-    """One seeded trial of algo on the instance of seed, on a fresh comparator.
+def _select(
+    algo: str, instance: Instance, g: int | None, exact_name: str, seed: int, cmp: CountingComparator
+) -> SelectionOutcome:
+    """One seeded trial of algo on the instance of seed; its tally accrues on cmp.
 
     fr-median is the baseline: yao's prefix scheme with Floyd-Rivest, the
     exact (i+1)-th largest of the first i+j+1 elements (their median at i = j).
     """
-    cmp = CountingComparator()
     if algo == "yao":
         return yao_select(instance, _EXACT[exact_name], cmp)
     if algo == "a1":
@@ -85,12 +86,13 @@ def _select(algo: str, instance: Instance, g: int | None, exact_name: str, seed:
         return a2_las_vegas(instance, cmp, Rng(seed ^ _ALGO_RNG_TAG))
     subset = instance.elements[: instance.i + instance.j + 1]
     x = select_floyd_rivest(subset, instance.i + 1, cmp, Rng(seed ^ _BASELINE_RNG_TAG))
-    return SelectionOutcome(element=x, comparisons=cmp.comparisons)
+    return SelectionOutcome(x)
 
 
 def cmd_run(args: argparse.Namespace) -> tuple[int, list[str]]:
     instance = generate_instance(args.n, args.i, args.j, args.seed)
-    out = _select(args.algo, instance, args.g, args.exact, args.seed)
+    cmp = CountingComparator()
+    out = _select(args.algo, instance, args.g, args.exact, args.seed, cmp)
     rank = rank_of(out.element, instance)
     mediocre = args.j <= rank <= args.n - 1 - args.i and not out.failed
     stage = out.stage_comparisons
@@ -99,17 +101,19 @@ def cmd_run(args: argparse.Namespace) -> tuple[int, list[str]]:
     row = (
         f"{args.algo},{args.n},{args.i},{args.j},{args.g if args.g is not None else ''},"
         f"{args.seed},{out.element},{rank},{'true' if mediocre else 'false'},"
-        f"{out.comparisons},{stage if stage is not None else ''},{repetitions},{failed}"
+        f"{cmp.comparisons},{stage if stage is not None else ''},{repetitions},{failed}"
     )
     return 3 if out.failed else 0, [RUN_HEADER, row]
 
 
-def _stats_row(algo: str, n: int, i: int, j: int, trials: int, seed_base: int, outcomes) -> str:
-    counts = [out.comparisons for out in outcomes]
+def _stats_row(algo: str, n: int, i: int, j: int, seed_base: int, results) -> str:
+    """One bench row from the (outcome, comparisons) pair of every trial."""
+    trials = len(results)
+    counts = [c for _, c in results]
     mean = sum(counts) / trials
     sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / trials)
-    failure = sum(out.failed for out in outcomes) / trials
-    reps = sum(out.repetitions for out in outcomes) / trials
+    failure = sum(out.failed for out, _ in results) / trials
+    reps = sum(out.repetitions for out, _ in results) / trials
     failure_s = _fmt(failure) if algo == "a2" else ""
     reps_s = _fmt(reps) if algo == "a2lv" else ""
     return (
@@ -122,14 +126,16 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.trials < 1:
         raise ValueError(f"trials >= 1 violated: trials = {args.trials}")
     algos = [args.algo] + (["fr-median"] if args.baseline == "fr-median" else [])
-    outcomes = {algo: [] for algo in algos}
+    results = {algo: [] for algo in algos}
     for seed in range(args.seed_base, args.seed_base + args.trials):
         instance = generate_instance(args.n, args.i, args.j, seed)
         for algo in algos:
-            outcomes[algo].append(_select(algo, instance, args.g, args.exact, seed))
+            cmp = CountingComparator()
+            out = _select(algo, instance, args.g, args.exact, seed, cmp)
+            results[algo].append((out, cmp.comparisons))
     lines = [BENCH_HEADER]
     for algo in algos:
-        lines.append(_stats_row(algo, args.n, args.i, args.j, args.trials, args.seed_base, outcomes[algo]))
+        lines.append(_stats_row(algo, args.n, args.i, args.j, args.seed_base, results[algo]))
     return 0, lines
 
 

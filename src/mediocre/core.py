@@ -9,7 +9,7 @@ metric of this library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Element = int
 
@@ -108,29 +108,27 @@ def _check_shape(n: int, i: int, j: int) -> None:
 
 @dataclass(slots=True)
 class Instance:
-    """A selection problem: find an element outside the top i and bottom j of n.
+    """A selection problem: find an element outside the top i and bottom j of elements.
 
+    n = len(elements) is kept in a slot, as the schemes read it on every call.
     Treat as immutable after construction.
     """
 
-    n: int
     i: int
     j: int
     elements: tuple[Element, ...]
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
+        self.n = len(self.elements)
         _check_shape(self.n, self.i, self.j)
-        if len(self.elements) != self.n:
-            raise ValueError(
-                f"len(elements) == n violated: {len(self.elements)} != {self.n}"
-            )
         if len(set(self.elements)) != self.n:
             raise ValueError("elements must be pairwise distinct")
 
 
 @dataclass(slots=True)
 class SelectionOutcome:
-    """Result of one selection run.
+    """Result of one selection run; its tally is on the comparator the caller passed.
 
     stage_comparisons is the tally of the grouped schemes' knockout stage,
     None for the other paths.  failed is meaningful only for the Monte Carlo
@@ -138,7 +136,6 @@ class SelectionOutcome:
     """
 
     element: Element
-    comparisons: int
     stage_comparisons: int | None = None
     failed: bool = False
     repetitions: int = 1
@@ -151,7 +148,7 @@ def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
     _check_shape(n, i, j)
     perm = list(range(n))
     Rng(seed).shuffle(perm)
-    return Instance(n=n, i=i, j=j, elements=tuple(perm))
+    return Instance(i=i, j=j, elements=tuple(perm))
 
 
 def rank_of(x: Element, instance: Instance) -> int:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import mediocre.cli as cli
 from mediocre.cli import main
-from mediocre.core import is_mediocre
+from mediocre.core import CountingComparator, Rng, is_mediocre
+from mediocre.exact import select_floyd_rivest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,6 +22,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_records(out):
+    """The data rows of a CSV output as dicts keyed by its header."""
+    header, *rows = (line.split(",") for line in out.splitlines())
+    return [dict(zip(header, row)) for row in rows]
 
 
 class TestTable:
@@ -188,7 +195,7 @@ class TestBench:
     def test_baseline_element_is_mediocre_when_i_differs_from_j(self, n, i, j):
         for seed in range(50):
             instance = cli.generate_instance(n, i, j, seed)
-            out = cli._select("fr-median", instance, None, "mom", seed)
+            out = cli._select("fr-median", instance, None, "mom", seed, CountingComparator())
             assert is_mediocre(out.element, instance), seed
 
     def test_mc_row_reports_failure_rate(self, capsys):
@@ -219,20 +226,32 @@ class TestBench:
         assert "power of 2" in err
 
     def test_single_trial_replays_as_run(self, capsys):
-        # trial t of a bench is exactly `run` with seed seed_base + t
+        # trial t of a bench is exactly `run` with seed seed_base + t, each
+        # trial and the fr-median baseline counted on a comparator of its own
+        shape = ("--n", "120", "--i", "20", "--j", "20")
+        seeds = range(42, 45)
+        baseline = []
+        for seed in seeds:
+            elements = cli.generate_instance(120, 20, 20, seed).elements
+            cmp = CountingComparator()
+            select_floyd_rivest(elements[:41], 21, cmp, Rng(seed ^ 1 << 62))
+            baseline.append(cmp.comparisons)
         for algo in ("yao", "a1", "a2", "a2lv"):
-            _, bench_out, _ = run_cli(
-                capsys, "bench", "--algo", algo, "--n", "120", "--i", "20", "--j", "20",
-                "--trials", "1", "--seed-base", "42",
+            runs = []
+            for seed in seeds:
+                _, run_out, _ = run_cli(capsys, "run", "--algo", algo, *shape, "--seed", str(seed))
+                runs.append(int(csv_records(run_out)[0]["comparisons"]))
+            _, single_out, _ = run_cli(
+                capsys, "bench", "--algo", algo, *shape, "--trials", "1", "--seed-base", "42"
             )
-            _, run_out, _ = run_cli(
-                capsys, "run", "--algo", algo, "--n", "120", "--i", "20", "--j", "20",
-                "--seed", "42",
+            _, triple_out, _ = run_cli(
+                capsys, "bench", "--algo", algo, *shape, "--trials", "3", "--seed-base", "42",
+                "--baseline", "fr-median",
             )
-            bench_record = dict(zip(*(line.split(",") for line in bench_out.splitlines())))
-            run_record = dict(zip(*(line.split(",") for line in run_out.splitlines())))
-            assert float(bench_record["mean_comparisons"]) == float(run_record["comparisons"])
-            assert bench_record["max_comparisons"] == run_record["comparisons"]
+            cases = [(csv_records(single_out)[0], runs[:1]), *zip(csv_records(triple_out), (runs, baseline))]
+            for record, counts in cases:
+                assert record["mean_comparisons"] == f"{sum(counts) / len(counts):.4f}", (algo, record)
+                assert record["max_comparisons"] == str(max(counts)), (algo, record)
 
 
 class TestLowerBound:
@@ -302,6 +321,17 @@ class TestPlotData:
          "c420d94782a2bdd4e64834c0e118df856de2b76775338a6cbfb7844f95cc1992"),
         (("plot-data", "--from", "0.005", "--to", "0.33", "--step", "0.005"),
          "19cb518ee69921d7c3403dd98f536fc7b8cedc5cb8cfea3ae4150e1e68cea188"),
+        (tuple("bench --algo a2lv --n 2000 --i 700 --j 700 --trials 5 --baseline fr-median".split()),
+         "2012f4ee5fb307f6a44701c8da991bf42f82def6360879135028a41a556cbcb1"),
+        # averages 1.2 rounds per trial, so retried tallies are summed
+        (tuple("bench --algo a2lv --n 80 --i 18 --j 18 --trials 10 --baseline fr-median".split()),
+         "426ed123626378f31fd7d79d9e07a4441b72a619b317d71568fbaebfd553d57c"),
+        (tuple("bench --algo a1 --n 200 --i 10 --j 179 --trials 4 --baseline fr-median".split()),
+         "9a2437859f479338afc5a42fc23dee5673b210eb1d29dac25aada61c28fc28f2"),
+        (tuple("bench --algo hyper --g 4 --n 64 --i 4 --j 20 --trials 20".split()),
+         "9d06f3e308de44316b5e8fe7bf52b43ddefd32e07c60ecac405f44d5f6df2182"),
+        (tuple("bench --algo a2 --n 200 --i 40 --j 40 --trials 50".split()),
+         "83ee03b592ff14d5f41749ceab92dc066d4519990832ff538730c546cfb32c44"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):

@@ -66,23 +66,19 @@ class TestGenerateInstance:
             (0, 0, 0, "n >= 1"),
             (5, -1, 0, "i >= 0"),
             (5, 0, -2, "j >= 0"),
-            (5, 1, 1, "len(elements) == n"),
         ],
     )
     def test_invalid_parameters_name_the_inequality(self, n, i, j, fragment):
-        # generate_instance always builds n elements, so only Instance sees a
-        # short tuple; Instance has no n >= 1 check, i + j + 1 <= n catches n = 0.
-        short = fragment == "len(elements) == n"
-        if not short:
-            with pytest.raises(ValueError, match=re.escape(fragment)):
-                generate_instance(n, i, j, seed=0)
+        # Instance has no n >= 1 check; i + j + 1 <= n catches n = 0.
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            generate_instance(n, i, j, seed=0)
         direct = "i + j + 1 <= n" if fragment == "n >= 1" else fragment
         with pytest.raises(ValueError, match=re.escape(direct)):
-            Instance(n=n, i=i, j=j, elements=tuple(range(n - short)))
+            Instance(i=i, j=j, elements=tuple(range(n)))
 
     def test_instance_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
-            Instance(n=3, i=0, j=0, elements=(1, 1, 2))
+            Instance(i=0, j=0, elements=(1, 1, 2))
 
 
 class TestRankOracle:
@@ -95,7 +91,7 @@ class TestRankOracle:
         assert rank_of(8, inst) == 8
 
     def test_identity_permutation_ranks(self):
-        inst = Instance(n=10, i=0, j=0, elements=tuple(range(10)))
+        inst = Instance(i=0, j=0, elements=tuple(range(10)))
         assert rank_of(4, inst) == 4
 
     def test_missing_element_raises(self):
@@ -105,13 +101,13 @@ class TestRankOracle:
 
     @given(st.permutations(list(range(8))))
     def test_rank_is_a_bijection(self, perm):
-        inst = Instance(n=8, i=0, j=0, elements=tuple(perm))
+        inst = Instance(i=0, j=0, elements=tuple(perm))
         assert sorted(rank_of(x, inst) for x in perm) == list(range(8))
 
 
 class TestIsMediocre:
     def test_three_elements_only_median_qualifies(self):
-        inst = Instance(n=3, i=1, j=1, elements=(2, 0, 1))
+        inst = Instance(i=1, j=1, elements=(2, 0, 1))
         assert [is_mediocre(x, inst) for x in (0, 1, 2)] == [False, True, False]
 
     def test_no_exclusions_everything_qualifies(self):
@@ -137,7 +133,7 @@ class TestIsMediocre:
         # mediocre iff at least i elements larger and at least j smaller
         n, i, perm = case
         j = n - 1 - i
-        inst = Instance(n=n, i=i, j=j, elements=tuple(perm))
+        inst = Instance(i=i, j=j, elements=tuple(perm))
         for x in perm:
             larger = sum(1 for e in perm if e > x)
             smaller = sum(1 for e in perm if e < x)
