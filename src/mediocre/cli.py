@@ -10,11 +10,15 @@ random stream uses s XOR 2^63 and the fr-median baseline s XOR 2^62, so the
 streams never collide with each other or with neighbouring trial seeds
 (trial t of a bench uses seed_base + t).  A bench generates each seed's
 instance once and runs the algorithm and then the baseline on it.
+
+The argument parser is built once per process, on the first `main` call (not
+at import), and reused: each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -147,6 +151,7 @@ def cmd_plot_data(args: argparse.Namespace) -> tuple[int, list[str]]:
     return 0, curve_lines(args.alpha_from, args.alpha_to, args.step)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mediocre",
@@ -191,7 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; its CSV lines reach stdout only once it has returned."""
+    """Run one command; its CSV lines reach stdout only once it has returned.
+
+    The parser is built on the first call in a process and reused after.
+    """
     args = _build_parser().parse_args(argv)
     try:
         status, lines = args.func(args)

@@ -392,6 +392,60 @@ def test_exit_contract_fuzz(command, algo, n, g, exact, seed, trials, baseline, 
         assert command == "run" and algo == "a2"
 
 
+class TestParserReuse:
+    """One parser serves every `main` call of a process and keeps no state between them."""
+
+    SEQUENCE = [
+        "run --algo bogus --n 3 --i 1 --j 1 --seed 1",
+        "run --algo yao --n 3 --i 2 --j 2 --seed 1",
+        "run --algo a2 --n 100 --i 20 --j 20 --seed 1",
+        "run --algo a1 --n 40 --i 3 --j 11 --seed 2",
+        "bench --algo a2lv --n 80 --i 18 --j 18 --trials 3 --baseline fr-median",
+        "bench --algo a2lv --n 80 --i 18 --j 18 --trials 3",
+    ]
+
+    @staticmethod
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        return status, out.getvalue(), err.getvalue()
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
+        # a fixed width, so the usage text wraps alike here and in the subprocesses
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        parser = cli._build_parser()
+        results = [self.in_process(argv.split()) for argv in self.SEQUENCE]
+        assert cli._build_parser() is parser
+        for argv, result in zip(self.SEQUENCE, results):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mediocre", *argv.split()], env=env, capture_output=True, text=True
+            )
+            assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+        statuses = [status for status, _, _ in results]
+        assert statuses == [2, 2, 3, 0, 0, 0]
+        assert results[1][1] == ""
+        assert results[3][1] == f"{cli.RUN_HEADER}\na1,40,3,11,,2,20,20,true,26,9,,\n"
+        # no --baseline default carried over from the call before
+        assert [len(r[1].splitlines()) for r in results[4:]] == [3, 2]
+
+    def test_import_does_not_build_the_parser(self):
+        code = (
+            "import mediocre.cli as cli; print(cli._build_parser.cache_info().currsize); "
+            "cli.main(['lower-bound', '--i', '1', '--j', '2']); cli.main(['table', '--which', 'hyper4']); "
+            "print(cli._build_parser.cache_info().misses)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "0"  # importing builds nothing
+        assert lines[-1] == "1"  # two calls, one build
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "mediocre", "lower-bound", "--i", "1", "--j", "2"],
