@@ -134,8 +134,11 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
             vals = above
 
 
-# Tournament worst case allowed, in units of P: within it no random pool of P <= 200 cost more than mom.
-_TOURNAMENT_BUDGET = 2
+# Tournament worst case allowed, in units of P.  Of the random pools with
+# P <= 200, none within 2P cost more than mom, and 56 of the 10687 (P, k) cells
+# between 2P and 4P did, all at P <= 109; the band as a whole cost 41% less.
+# Beyond 4P the replays cost more Python time than the comparisons they save.
+_TOURNAMENT_BUDGET = 4
 
 
 def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> Element:
@@ -162,6 +165,7 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
     The bracket holds leaf positions, not values, so copies of a value stay
     apart; an odd trailing entry takes a bye at each level.  Each replay
     empties the champion's leaf and replays only the matches on its path.
+    At k' = 1 a plain scan finds the same element, so no bracket is built.
     Costs at most P - 1 + (k' - 1) * ceil(log2 P) comparisons; for k = 2
     that is Kislitsyn's P - 2 + ceil(log2 P), exact when P is a power of two.
     """
@@ -172,6 +176,12 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
     less = cmp.less
     # before(x, y): x is knocked out by y
     before = less if rank == k else (lambda x, y: less(y, x))
+    if rank == 1:
+        best = vals[0]
+        for v in vals[1:]:
+            if before(best, v):
+                best = v
+        return best
     level = list(range(size))
     levels = [level]
     while len(level) > 1:

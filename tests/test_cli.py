@@ -126,9 +126,9 @@ class TestRun:
     @pytest.mark.parametrize("argv,row", [
         ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,44,0,,"),
         ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,26,9,,"),
-        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,25,9,,"),
+        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,27,9,,"),
         ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,11,0,,"),
-        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,36,9,,"),
+        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,22,9,,"),
         ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
         ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
         ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,318,,,false"),
@@ -329,7 +329,7 @@ class TestPlotData:
         (tuple("bench --algo a1 --n 200 --i 10 --j 179 --trials 4 --baseline fr-median".split()),
          "9a2437859f479338afc5a42fc23dee5673b210eb1d29dac25aada61c28fc28f2"),
         (tuple("bench --algo hyper --g 4 --n 64 --i 4 --j 20 --trials 20".split()),
-         "9d06f3e308de44316b5e8fe7bf52b43ddefd32e07c60ecac405f44d5f6df2182"),
+         "050b994b5398c855fae3d741b6bf060446550eaaa454e4b65ba8cae107ecfb14"),
         (tuple("bench --algo a2 --n 200 --i 40 --j 40 --trials 50".split()),
          "83ee03b592ff14d5f41749ceab92dc066d4519990832ff538730c546cfb32c44"),
     ],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
     _FR_SMALL,
+    _TOURNAMENT_BUDGET,
     _group_fives,
     _mom_smallest,
     select_by_sort,
@@ -118,7 +119,7 @@ class TestSelectMom:
             assert cmp.comparisons == cmp.calls
 
     def test_rank_and_size_pick_the_tournament(self):
-        # the tournament runs exactly when its worst case is at most 2P
+        # the tournament runs exactly when its worst case is at most the budget times P
         for size in (1, 2, 10, 26, 333, 1000):
             buf = generate_instance(size, 0, 0, seed=size).elements
             for k in sorted({1, 2, 3, 6, 50, 100, size // 2 + 1, size - 5, size - 1, size}):
@@ -128,8 +129,20 @@ class TestSelectMom:
                 assert select_mom(buf, k, mom) == select_by_sort(buf, k)
                 select_tournament(buf, k, tour)
                 _mom_smallest(list(buf), size - k, oracle)
-                picks = tournament_bound(size, k) <= 2 * size
+                picks = tournament_bound(size, k) <= _TOURNAMENT_BUDGET * size
                 assert mom.calls == (tour.calls if picks else oracle.calls), (size, k)
+
+    @pytest.mark.parametrize("size,k", [(10_000, 1001), (17_000, 3001), (5000, 1001)],
+                             ids=["a1-0.05", "yao-0.15", "hyper4-0.05"])
+    def test_skew_pools_between_2p_and_4p_take_the_tournament(self, size, k):
+        # the n = 20000 pools of a1 and hyper g = 4 at alpha = 0.05 and of yao at 0.15
+        bound = tournament_bound(size, k)
+        assert 2 * size < bound <= 4 * size
+        ascending = list(range(size))
+        for buf in (ascending, ascending[::-1], generate_instance(size, 0, 0, seed=size).elements):
+            mom, tour = CountingComparator(), CountingComparator()
+            assert select_mom(buf, k, mom) == select_tournament(buf, k, tour) == size - k
+            assert mom.comparisons == tour.comparisons <= bound
 
     def test_never_touches_outside_buffer(self):
         inst = generate_instance(200, 0, 0, seed=4)
