@@ -9,11 +9,21 @@ metric of this library.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import repeat
+from operator import mod
 
 Element = int
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# Outputs per packed block: extra memory is a few 16-byte-per-lane ints.
+_BLOCK = 1024
+# The low word of every 128-bit lane, in lane order, of the packed bytes
+# written in native byte order.
+_LOW_WORDS = slice(0, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 class CountingComparator:
@@ -42,6 +52,15 @@ class Rng:
     mixers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  Identical seeds give
     bit-identical streams on any platform, which keeps every benchmark in this
     package replayable from its command line.
+
+    Output k after state s is the mixer applied to s + k * increment, so
+    shuffle and sample_with_replacement compute up to _BLOCK outputs at once:
+    one 128-bit lane per output in one packed int, mixed with whole-int
+    operations (a 64-bit lane times a 64-bit constant cannot carry into the
+    next lane).  The low word of each lane is read back from the packed bytes
+    in native order with the matching word stride (every other word forwards
+    on a little-endian host, backwards from the last on a big-endian one), so
+    the draws are the same on both; only the little-endian path has been run.
     """
 
     __slots__ = ("_state",)
@@ -50,7 +69,7 @@ class Rng:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -58,42 +77,91 @@ class Rng:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection sampling."""
-        if bound <= 0:
-            raise ValueError(f"bound > 0 violated: bound = {bound}")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
+        limit = _MASK64 + 1 - _spare(bound)
         while True:
             r = self.next_u64()
             if r < limit:
                 return r % bound
 
+    def _block(self, count: int, spare: int) -> tuple[memoryview, int]:
+        """The next count <= _BLOCK outputs, without advancing the state.
+
+        Also returns a packed int whose bit 128 * k is set iff output k is at
+        least 2**64 - spare.
+        """
+        ks, ones, mask = _lanes()
+        if count < _BLOCK:
+            cut = (1 << 128 * count) - 1
+            ks, ones, mask = ks & cut, ones & cut, mask & cut
+        z = (ks + self._state * ones) & mask
+        z = (z ^ (z >> 30)) & mask
+        z = z * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) & mask
+        z = z * 0x94D049BB133111EB & mask
+        # The shift moves the next lane's low bits into bits 97..127 only, so
+        # bit 64 stays clear for the flag test's carry.
+        z ^= z >> 31
+        words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LOW_WORDS]
+        return words, ((z + ones * spare) >> 64) & ones
+
     def shuffle(self, xs: list) -> None:
         """In-place Fisher-Yates shuffle.
 
         Draws exactly what swapping xs[idx] with xs[self.below(idx + 1)], for
-        idx from len(xs) - 1 down to 1, would draw, with the first next_u64 of
-        each below() call inlined.  A draw below 2**64 - len(xs) is accepted
-        at once: every bound <= len(xs) has a rejection limit above it.
+        idx from len(xs) - 1 down to 1, would draw.  The draws come in blocks
+        (see the class docstring); a draw below 2**64 - len(xs) is accepted at
+        once, as every bound <= len(xs) has a rejection limit above it.  The
+        first draw of a block at or above that line goes through below(), and
+        the next block starts from the state below() leaves.
         """
-        s = self._state
-        early = _MASK64 + 1 - len(xs)
-        for idx in range(len(xs) - 1, 0, -1):
-            s = (s + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
-            if z >= early and z >= _MASK64 + 1 - ((_MASK64 + 1) % (idx + 1)):
-                # Rejected: below() goes on drawing from the next state.
-                self._state = s
+        n = len(xs)
+        idx = n - 1
+        while idx > 0:
+            words, flags = self._block(min(idx, _BLOCK), n)
+            used = ((flags & -flags).bit_length() - 1) >> 7 if flags else len(words)
+            for pos, other in zip(range(idx, 0, -1), map(mod, words[:used], range(idx + 1, 1, -1))):
+                xs[pos], xs[other] = xs[other], xs[pos]
+            self._state = (self._state + used * _GAMMA) & _MASK64
+            idx -= used
+            if flags:
                 other = self.below(idx + 1)
-                s = self._state
-            else:
-                other = z % (idx + 1)
-            xs[idx], xs[other] = xs[other], xs[idx]
-        self._state = s
+                xs[idx], xs[other] = xs[other], xs[idx]
+                idx -= 1
 
     def sample_with_replacement(self, bound: int, count: int) -> list[int]:
-        """count independent uniform draws from [0, bound)."""
-        return [self.below(bound) for _ in range(count)]
+        """count independent uniform draws from [0, bound).
+
+        Exactly [self.below(bound) for _ in range(count)], drawn in blocks
+        (see the class docstring).  below() rejects the same top outputs for
+        every draw, so a block that holds any simply drops them.
+        """
+        out: list[int] = []
+        while len(out) < count:
+            spare = _spare(bound)
+            words, flags = self._block(min(count - len(out), _BLOCK), spare)
+            self._state = (self._state + len(words) * _GAMMA) & _MASK64
+            if flags:
+                words = [w for w in words if w <= _MASK64 - spare]
+            out += map(mod, words, repeat(bound))
+        return out
+
+
+def _spare(bound: int) -> int:
+    """How many of the 2**64 outputs, the top ones, below(bound) rejects."""
+    if bound <= 0:
+        raise ValueError(f"bound > 0 violated: bound = {bound}")
+    return (_MASK64 + 1) % bound
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """Packed constants for a full block.
+
+    Lane k of the three ints holds (k + 1) * increment mod 2**64, 1 and 2**64 - 1.
+    """
+    ks = b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, _BLOCK + 1))
+    ones = int.from_bytes((1).to_bytes(16, "little") * _BLOCK, "little")
+    return int.from_bytes(ks, "little"), ones, ones * _MASK64
 
 
 def _check_shape(n: int, i: int, j: int) -> None:

@@ -1,10 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediocre.core import (
+    _BLOCK,
     CountingComparator,
     Instance,
     Rng,
@@ -15,6 +21,7 @@ from mediocre.core import (
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _reference_shuffle(rng, length):
@@ -24,6 +31,22 @@ def _reference_shuffle(rng, length):
         other = rng.below(idx + 1)
         xs[idx], xs[other] = xs[other], xs[idx]
     return xs
+
+
+def _seed_drawing(z, position):
+    """A seed whose draw at 0-based position is z."""
+    return (_state_drawing(z) - (position + 1) * _GAMMA) & _MASK64
+
+
+def _peak_above_result(fn):
+    """Peak traced bytes fn allocates beyond what its result still holds."""
+    tracemalloc.start()
+    try:
+        result = fn()  # still alive below, so it counts in current, not in the excess
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
 
 
 def _state_drawing(z):
@@ -207,7 +230,7 @@ class TestRng:
     def test_shuffle_equals_fisher_yates_on_a_top_draw(self, length):
         # The second draw, for bound length - 1, is 2**64 - 1: accepted for
         # bound 2, rejected for bounds 3, 5, 6 and 300.
-        seed = (_state_drawing(_MASK64) - 2 * _GAMMA) & _MASK64
+        seed = _seed_drawing(_MASK64, 1)
         probe = Rng(seed)
         probe.next_u64()
         assert probe.next_u64() == _MASK64
@@ -223,3 +246,79 @@ class TestRng:
         assert set(draws) <= set(range(10))
         # with 1000 draws from 10 buckets every bucket should appear
         assert len(set(draws)) == 10
+
+    @pytest.mark.parametrize("length", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 20000])
+    def test_shuffle_equals_fisher_yates_across_blocks(self, length):
+        fast, ref = Rng(length), Rng(length)
+        xs = list(range(length))
+        fast.shuffle(xs)
+        assert xs == _reference_shuffle(ref, length)
+        assert fast._state == ref._state
+
+    @pytest.mark.parametrize("position", [1500, 1976])
+    def test_shuffle_equals_fisher_yates_on_a_deep_top_draw(self, position):
+        # Draw `position` of a 3000-element shuffle, in its second block, is
+        # 2**64 - 1, for bound 3000 - position: rejected for 1500, accepted for 1024.
+        seed = _seed_drawing(_MASK64, position)
+        probe = Rng(seed)
+        assert [probe.next_u64() for _ in range(position + 1)][-1] == _MASK64
+        fast, ref = Rng(seed), Rng(seed)
+        xs = list(range(3000))
+        fast.shuffle(xs)
+        assert xs == _reference_shuffle(ref, 3000)
+        assert fast._state == ref._state
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.integers(1, 2**64), st.integers(2**63 + 1, 2**63 + 2**20)),
+        st.integers(0, 3000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sample_equals_below_draws(self, seed, bound, count):
+        fast, ref = Rng(seed), Rng(seed)
+        assert fast.sample_with_replacement(bound, count) == [ref.below(bound) for _ in range(count)]
+        assert fast.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("bound", [3, 2**40 + 1, 2**63 + 1, 2**64])
+    def test_sample_equals_below_draws_on_a_top_draw(self, bound):
+        # Draw 1500 of 3000 is 2**64 - 1: rejected unless bound is a power of two.
+        fast, ref = Rng(_seed_drawing(_MASK64, 1500)), Rng(_seed_drawing(_MASK64, 1500))
+        assert fast.sample_with_replacement(bound, 3000) == [ref.below(bound) for _ in range(3000)]
+        assert fast._state == ref._state
+
+    @pytest.mark.parametrize("bound", [-5, 0, 1, 7])
+    def test_empty_sample_draws_nothing(self, bound):
+        rng = Rng(4)
+        assert rng.sample_with_replacement(bound, 0) == []
+        assert rng._state == 4
+
+    @pytest.mark.parametrize("bound", [-5, 0])
+    def test_sample_rejects_nonpositive_bound(self, bound):
+        with pytest.raises(ValueError, match="bound > 0 violated"):
+            Rng(4).sample_with_replacement(bound, 1)
+
+
+class TestRngMemory:
+    """Extra memory is bounded by the block, not by the length (16 bytes a lane if packed whole)."""
+
+    ALLOWANCE = 256 * 1024
+
+    def test_shuffle_of_200k(self):
+        xs = list(range(200_000))
+        assert _peak_above_result(lambda: Rng(2).shuffle(xs)) < self.ALLOWANCE < 16 * len(xs)
+
+    def test_sample_of_100k(self):
+        count = 100_000
+        assert _peak_above_result(lambda: Rng(3).sample_with_replacement(200_000, count)) < self.ALLOWANCE < 16 * count
+
+
+def test_import_builds_no_lane_constants():
+    code = (
+        "import sys, mediocre, mediocre.cli; from mediocre import core; "
+        "print(core._lanes.cache_info().currsize, 'array' in sys.modules); "
+        "core.Rng(1).shuffle(list(range(50))); core.Rng(2).shuffle(list(range(3000))); "
+        "print(core._lanes.cache_info().misses)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["0 False", "1"]  # import builds nothing; two shuffles, one build
