@@ -147,9 +147,9 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     is flagged failed.  A wrong element can never escape.
 
     The sample is selected in place by the narrowing selector, so the whole
-    round stays within m + O(m^(3/4)) comparisons.  Relations of sampled
-    elements to the candidate are resolved by the selection pass itself, so
-    only never-sampled elements are compared afterwards.
+    round stays within m + O(m^(3/4)) comparisons.  The sides of the
+    partition that selection leaves give every sampled element's relation to
+    the candidate, so only never-sampled elements are compared afterwards.
     """
     params = a2_params(instance.i, instance.j, instance.n)
     m, r, k = params.m, params.r, params.k
@@ -158,15 +158,10 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     sample = [working[q] for q in idxs]
 
     x = _fr_smallest(sample, 0, r - 1, k - 1, cmp)
-    # The selection pass already resolved every sampled element against x;
-    # tallying those sides is bookkeeping, not new order queries.
-    smaller = 0
-    larger = 0
-    for v in set(sample):
-        if v < x:
-            smaller += 1
-        elif v != x:
-            larger += 1
+    # The selection pass leaves sample[:k-1] <= x <= sample[k:], so only
+    # copies of x can sit on both sides.
+    smaller = len(set(sample[: k - 1]) - {x})
+    larger = len(set(sample[k:]) - {x})
     sampled = set(idxs)
     less = cmp.less
     for q in range(m):

@@ -1,10 +1,10 @@
 """Element model, instrumented comparisons, deterministic randomness and the rank oracle.
 
-Elements are plain integers.  Problem instances generated here are uniformly
-random permutations of 0..n-1, so all elements are distinct and the rank of an
-element can be cross-checked trivially.  Every pairwise order query made by an
-algorithm goes through a CountingComparator, whose tally is the sole cost
-metric of this library.
+Problem instances generated here are uniformly random permutations of the
+integers 0..n-1, so all elements are distinct and the rank of an element can
+be cross-checked trivially.  The counted algorithms use nothing of an element
+but ==, hashing and the order a CountingComparator answers, whose tally is the
+sole cost metric of this library.
 """
 
 from __future__ import annotations
@@ -150,6 +150,8 @@ def _spare(bound: int) -> int:
     """How many of the 2**64 outputs, the top ones, below(bound) rejects."""
     if bound <= 0:
         raise ValueError(f"bound > 0 violated: bound = {bound}")
+    if bound > _MASK64 + 1:
+        raise ValueError(f"bound <= 2**64 violated: bound = {bound}")
     return (_MASK64 + 1) % bound
 
 

@@ -1,9 +1,10 @@
 import math
 import re
+from collections import defaultdict
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mediocre.approx as approx
@@ -24,20 +25,69 @@ from mediocre.core import (
     is_mediocre,
     rank_of,
 )
-from mediocre.exact import select_by_sort, select_mom
+from mediocre.exact import select_by_sort, select_floyd_rivest, select_mom, select_tournament
 
 
 class RecordingComparator(CountingComparator):
-    __slots__ = ("seen",)
+    """Records each answer as a (lower, higher) edge."""
+
+    __slots__ = ("edges",)
 
     def __init__(self):
         super().__init__()
-        self.seen = set()
+        self.edges = []
 
     def less(self, a, b):
-        self.seen.add(a)
-        self.seen.add(b)
-        return super().less(a, b)
+        answer = super().less(a, b)
+        self.edges.append((a, b) if answer else (b, a))
+        return answer
+
+    @property
+    def seen(self):
+        """Every element the comparator was asked about."""
+        return {v for edge in self.edges for v in edge}
+
+
+def certificate(x, edges):
+    """How many elements the transitive closure of the answers puts above x and below x."""
+    up, down = defaultdict(list), defaultdict(list)
+    for lower, higher in edges:
+        up[lower].append(higher)
+        down[higher].append(lower)
+
+    def reach(graph):
+        found, stack = {x}, [x]
+        while stack:
+            for w in graph[stack.pop()]:
+                if w not in found:
+                    found.add(w)
+                    stack.append(w)
+        return len(found) - 1
+
+    return reach(up), reach(down)
+
+
+class Key:
+    """An element with no native order: identity == and hashing, a hidden value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class KeyComparator(CountingComparator):
+    """Orders Keys by their hidden values and counts its own calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def less(self, a, b):
+        self.calls += 1
+        return super().less(a.value, b.value)
 
 
 def staged(exact, cmp):
@@ -279,29 +329,82 @@ class TestA2Once:
 
 class TestInstrumentationSoundness:
     def test_tally_equals_invocations_for_every_scheme(self):
-        class AuditComparator(CountingComparator):
-            __slots__ = ("calls",)
-
-            def __init__(self):
-                super().__init__()
-                self.calls = 0
-
-            def less(self, a, b):
-                self.calls += 1
-                return super().less(a, b)
-
+        # Keys have no <, so a native order query on an element raises TypeError.
+        # At (200, 30, 40) every scheme's pool takes the tournament, so
+        # median-of-medians is run directly.
+        runs = {
+            "mom-tournament": lambda inst, c: select_mom(inst.elements, 3, c),
+            "mom-median-of-medians": lambda inst, c: select_mom(inst.elements, 100, c),
+            "tournament-top": lambda inst, c: select_tournament(inst.elements, 5, c),
+            "tournament-bottom": lambda inst, c: select_tournament(inst.elements, 196, c),
+            "floyd-rivest": lambda inst, c: select_floyd_rivest(inst.elements, 90, c, Rng(5)),
+            "yao": lambda inst, c: yao_select(inst, select_mom, c).element,
+            "a1": lambda inst, c: a1_select(inst, select_mom, c).element,
+            "hyper2": lambda inst, c: hyperpair_select(inst, 2, select_mom, c).element,
+            "hyper4": lambda inst, c: hyperpair_select(inst, 4, select_mom, c).element,
+            "a2_once": lambda inst, c: a2_once(inst, c, Rng(3)).element,
+            "a2lv": lambda inst, c: a2_las_vegas(inst, c, Rng(4)).element,
+        }
         inst = generate_instance(200, 30, 40, seed=15)
+        keys = Instance(30, 40, tuple(map(Key, inst.elements)))
+        for name, run in runs.items():
+            plain, opaque = CountingComparator(), KeyComparator()
+            assert run(keys, opaque).value == run(inst, plain), name
+            assert opaque.comparisons == opaque.calls == plain.comparisons > 0, name
+
+
+class TestCertificates:
+    """Every answer is certified by the comparisons made: in the transitive
+    closure of the comparator's answers, x has at least i elements above it
+    and at least j below it."""
+
+    @given(st.integers(1, 120), st.integers(0, 119), st.integers(0, 119), st.integers(0, 2**32))
+    @example(120, 0, 0, 1)
+    @example(120, 0, 119, 2)
+    @example(120, 119, 0, 3)
+    @settings(max_examples=150, deadline=None)
+    def test_every_answer_is_certified(self, n, i, j, seed):
+        i %= n
+        j %= n - i
+        inst = generate_instance(n, i, j, seed=seed)
         runs = [
-            lambda c: yao_select(inst, select_mom, c),
-            lambda c: a1_select(inst, select_mom, c),
-            lambda c: hyperpair_select(inst, 2, select_mom, c),
-            lambda c: a2_once(inst, c, Rng(3)),
-            lambda c: a2_las_vegas(inst, c, Rng(4)),
+            lambda c: yao_select(inst, select_mom, c).element,
+            lambda c: a1_select(inst, select_mom, c).element,
+            lambda c: select_floyd_rivest(inst.elements[: i + j + 1], i + 1, c, Rng(seed)),
         ]
+        for g in (2, 4):
+            if g * (i + -(-(j + 1) // g)) <= n:
+                runs.append(lambda c, g=g: hyperpair_select(inst, g, select_mom, c).element)
+        try:
+            a2_params(i, j, n)
+        except ValueError:
+            pass
+        else:
+            runs.append(lambda c: a2_las_vegas(inst, c, Rng(seed)).element)
+            self.a2_once_failed(inst, seed)
         for run in runs:
-            cmp = AuditComparator()
-            run(cmp)
-            assert cmp.comparisons == cmp.calls > 0
+            cmp = RecordingComparator()
+            x = run(cmp)
+            up, down = certificate(x, cmp.edges)
+            assert up >= i and down >= j
+
+    def test_a2_once_fails_exactly_when_its_certificate_is_short(self):
+        # the shapes of TestA2Once.test_failure_rate_at_an_empty_side; (300, 0, 16) fails
+        # in about 4% of rounds
+        failures = 0
+        for n, i, j in [(500, 100, 0), (300, 0, 16)]:
+            for seed in range(300):
+                failures += self.a2_once_failed(generate_instance(n, i, j, seed=seed), seed)
+        assert failures > 0
+
+    @staticmethod
+    def a2_once_failed(inst, seed):
+        """Run a2_once, check that it fails exactly when its certificate is short."""
+        cmp = RecordingComparator()
+        out = a2_once(inst, cmp, Rng(seed))
+        up, down = certificate(out.element, cmp.edges)
+        assert out.failed == (up < inst.i or down < inst.j)
+        return out.failed
 
 
 class TestA2LasVegas:

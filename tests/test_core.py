@@ -196,6 +196,13 @@ class TestRng:
         with pytest.raises(ValueError, match="bound > 0"):
             Rng(1).below(0)
 
+    def test_below_and_sample_reject_a_bound_above_2_to_64(self):
+        # every 64-bit draw would be rejected, so neither could ever return
+        with pytest.raises(ValueError, match=r"bound <= 2\*\*64 violated"):
+            Rng(1).below(2**64 + 1)
+        with pytest.raises(ValueError, match=r"bound <= 2\*\*64 violated"):
+            Rng(1).sample_with_replacement(2**64 + 1, 1)
+
     def test_shuffle_is_a_permutation(self):
         xs = list(range(100))
         Rng(9).shuffle(xs)
