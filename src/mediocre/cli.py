@@ -9,7 +9,9 @@ Seed scheme: the instance for seed s is generated from s; the algorithm's
 random stream uses s XOR 2^63 and the fr-median baseline s XOR 2^62, so the
 streams never collide with each other or with neighbouring trial seeds
 (trial t of a bench uses seed_base + t).  A bench generates each seed's
-instance once and runs the algorithm and then the baseline on it.
+instance once and runs the algorithm and then the baseline on it; the
+permutation behind it is shuffled once per process for each (n, seed) and
+shared by every later command with that n and seed (see generate_instance).
 
 The argument parser is built once per process, on the first `main` call (not
 at import), and reused: each call parses into a fresh namespace.

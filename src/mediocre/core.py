@@ -10,6 +10,7 @@ sole cost metric of this library.
 from __future__ import annotations
 
 import sys
+from _thread import allocate_lock
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
@@ -212,13 +213,50 @@ class SelectionOutcome:
 
 
 def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
-    """Instance over a seeded uniformly random permutation of 0..n-1."""
+    """Instance over a seeded uniformly random permutation of 0..n-1.
+
+    The permutation, Rng(seed).shuffle of range(n), is memoized per (n, seed):
+    the cache drops its least recently used entries to hold at most
+    _PERM_BUDGET elements in all, and a permutation longer than that is not
+    kept.  The cache is one per process, locked for use from threads.  Calls
+    with equal (n, seed) share one elements tuple (immutable); each returns
+    a fresh Instance with its own i, j and n.  The permutation is distinct by
+    construction, so it skips Instance's distinctness scan.
+    """
     if n < 1:
         raise ValueError(f"n >= 1 violated: n = {n}")
     _check_shape(n, i, j)
-    perm = list(range(n))
-    Rng(seed).shuffle(perm)
-    return Instance(i=i, j=j, elements=tuple(perm))
+    instance = Instance.__new__(Instance)
+    instance.i, instance.j, instance.elements, instance.n = i, j, _permutation(n, seed), n
+    return instance
+
+
+# Most elements the permutation cache holds at once, over all its entries.
+_PERM_BUDGET = 1 << 20
+# (n, seed) -> permutation, least recently used first; _perm_total counts its
+# elements.  Both change together, under _perm_lock.
+_perms: dict[tuple[int, int], tuple[int, ...]] = {}
+_perm_total = 0
+_perm_lock = allocate_lock()
+
+
+def _permutation(n: int, seed: int) -> tuple[int, ...]:
+    """Rng(seed).shuffle of range(n), from the cache if it holds it."""
+    global _perm_total
+    key = (n, seed)
+    with _perm_lock:
+        perm = _perms.pop(key, None)
+        if perm is None:
+            xs = list(range(n))
+            Rng(seed).shuffle(xs)
+            perm = tuple(xs)
+            if n > _PERM_BUDGET:
+                return perm
+            while _perm_total + n > _PERM_BUDGET:
+                _perm_total -= len(_perms.pop(next(iter(_perms))))
+            _perm_total += n
+        _perms[key] = perm
+        return perm
 
 
 def rank_of(x: Element, instance: Instance) -> int:

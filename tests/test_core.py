@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mediocre import core
 from mediocre.core import (
     _BLOCK,
     CountingComparator,
@@ -22,6 +24,13 @@ from mediocre.core import (
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _uncached(n, seed):
+    """The permutation generate_instance must return for (n, seed), built without the cache."""
+    xs = list(range(n))
+    Rng(seed).shuffle(xs)
+    return tuple(xs)
 
 
 def _reference_shuffle(rng, length):
@@ -71,7 +80,7 @@ class TestGenerateInstance:
     def test_deterministic_for_equal_seeds(self):
         a = generate_instance(5, 2, 2, seed=123)
         b = generate_instance(5, 2, 2, seed=123)
-        assert a.elements == b.elements
+        assert a.elements == b.elements == _uncached(5, 123)
 
     def test_different_seeds_differ(self):
         a = generate_instance(50, 0, 0, seed=1)
@@ -102,6 +111,98 @@ class TestGenerateInstance:
     def test_instance_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
             Instance(i=0, j=0, elements=(1, 1, 2))
+
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(core, "_perms", {})
+        monkeypatch.setattr(core, "_perm_total", 0)
+
+    CASES = [(1, 0), (2, 5), (64, 3), (64, 4), (1000, 7), (3000, 2**64 - 1)]
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_cache_matches_uncached_shuffle_on_miss_hit_and_after_eviction(self, monkeypatch):
+        for n, seed in self.CASES:
+            first = generate_instance(n, 0, 0, seed).elements
+            assert first == _uncached(n, seed)  # miss
+            assert generate_instance(n, 0, 0, seed).elements is first  # hit
+        monkeypatch.setattr(core, "_PERM_BUDGET", 3000)
+        generate_instance(3000, 0, 0, seed=99)  # evicts every other entry
+        assert list(core._perms) == [(3000, 99)]
+        for n, seed in self.CASES:
+            assert generate_instance(n, 0, 0, seed).elements == _uncached(n, seed)  # regenerated
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_cache_stays_within_budget_and_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(core, "_PERM_BUDGET", 100)
+        for seed in range(4):
+            generate_instance(30, 0, 0, seed)
+        assert list(core._perms) == [(30, 1), (30, 2), (30, 3)]  # seed 0 went first
+        generate_instance(30, 0, 0, seed=1)  # a hit makes seed 1 the most recent
+        generate_instance(20, 0, 0, seed=0)  # 90 + 20 > 100 evicts seed 2, then 60 + 20 fits
+        assert list(core._perms) == [(30, 3), (30, 1), (20, 0)]
+        generate_instance(101, 0, 0, seed=0)  # longer than the budget: returned, not kept
+        assert list(core._perms) == [(30, 3), (30, 1), (20, 0)]
+        assert core._perm_total == sum(map(len, core._perms.values())) == 80
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_cache_total_never_exceeds_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "_PERM_BUDGET", 500)
+        for k in range(300):
+            generate_instance(1 + k * 37 % 200, 0, 0, seed=k % 7)
+            assert core._perm_total == sum(map(len, core._perms.values())) <= 500
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_cache_stays_consistent_under_threads(self, monkeypatch):
+        monkeypatch.setattr(core, "_PERM_BUDGET", 200)
+        shapes = [(1 + 7 * k % 60, k % 3) for k in range(30)]
+        expected = {shape: _uncached(*shape) for shape in shapes}
+        wrong, done = [], []
+
+        def work(offset):
+            for k in range(400):
+                n, seed = shapes[(k + offset) % len(shapes)]
+                if generate_instance(n, 0, 0, seed).elements != expected[n, seed]:
+                    wrong.append((n, seed))
+            done.append(offset)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(8)) and not wrong
+        assert core._perm_total == sum(map(len, core._perms.values())) <= 200
+
+    @pytest.mark.parametrize("n,i,j,fragment", [(3, 2, 1, "i + j + 1 <= n"), (5, -1, 0, "i >= 0"), (5, 0, -2, "j >= 0")])
+    def test_invalid_parameters_raise_alike_on_hit_and_miss(self, empty_cache, n, i, j, fragment):
+        for _ in ("miss", "hit"):
+            with pytest.raises(ValueError, match=re.escape(fragment)):
+                generate_instance(n, i, j, seed=0)
+            generate_instance(n, 0, 0, seed=0)
+        assert list(core._perms) == [(n, 0)]
+
+    def test_checks_the_shape_once_and_skips_the_distinctness_scan(self, monkeypatch):
+        calls = []
+        check = core._check_shape
+        monkeypatch.setattr(core, "_check_shape", lambda *a: calls.append(a) or check(*a))
+        monkeypatch.setattr(Instance, "__post_init__", lambda self: pytest.fail("scanned"))
+        for _ in ("miss", "hit"):
+            generate_instance(64, 3, 4, seed=5)
+        assert calls == [(64, 3, 4)] * 2
+
+    def test_instances_sharing_a_permutation_keep_their_own_shape(self):
+        a = generate_instance(40, 3, 30, seed=11)
+        b = generate_instance(40, 20, 1, seed=11)
+        assert a.elements is b.elements
+        assert (a.i, a.j, a.n) == (3, 30, 40)
+        assert (b.i, b.j, b.n) == (20, 1, 40)
+        assert a != b
 
 
 class TestRankOracle:
