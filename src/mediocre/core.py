@@ -237,6 +237,10 @@ _PERM_BUDGET = 1 << 20
 # elements.  Both change together, under _perm_lock.
 _perms: dict[tuple[int, int], tuple[int, ...]] = {}
 _perm_total = 0
+# 0, 1, 2, ... as one set of int objects that every cached permutation
+# shares, grown under _perm_lock to the longest n kept so far (at most
+# _PERM_BUDGET).
+_ints: list[int] = []
 _perm_lock = allocate_lock()
 
 
@@ -247,7 +251,11 @@ def _permutation(n: int, seed: int) -> tuple[int, ...]:
     with _perm_lock:
         perm = _perms.pop(key, None)
         if perm is None:
-            xs = list(range(n))
+            if n <= _PERM_BUDGET:
+                _ints.extend(range(len(_ints), n))
+                xs = _ints[:n]
+            else:
+                xs = list(range(n))
             Rng(seed).shuffle(xs)
             perm = tuple(xs)
             if n > _PERM_BUDGET:

@@ -13,13 +13,14 @@ from collections.abc import Sequence
 
 from .core import CountingComparator, Element, Rng
 
-# Floyd-Rivest drops to plain insertion selection below this size.  Measured
-# on random permutations this keeps the lower-order comparison overhead small
-# enough that the n + min(k, n-k) average is visible already at n ~ 10^4.
-# It must stay >= 10: only from size 11 on is the window, at most
-# ceil(size^(2/3)) + 2 * slack + 1 positions, narrower than its range; a
-# window spanning the whole range would recurse on it forever.
-_FR_SMALL = 32
+# Floyd-Rivest insertion-sorts ranges of at most this size.  It cannot go
+# lower: only from size 11 on is the window, at most ceil(size^(2/3)) +
+# 2 * slack + 1 positions, narrower than its range, and a window spanning the
+# whole range would recurse on it forever.  Insertion sort costs about s^2/4
+# comparisons on s elements, so the smallest size the window allows is also
+# the cheapest: of 10, 12, 16, 20, 24, 32 and 48, 10 gave the lowest tally on
+# every shape measured.
+_FR_SMALL = 10
 
 
 def _check_k(buffer: Sequence[Element], k: int) -> None:
@@ -80,19 +81,24 @@ def _group_fives(vals: list, cmp: CountingComparator) -> list[tuple]:
     return groups
 
 
-def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
+def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None = None) -> Element:
     """t-th smallest (0-based) of the multiset vals, groups-of-5 pivoting.
 
     Worst-case linear comparisons; duplicates supported (a value's copies
     occupy consecutive ranks, any of which yields the same answer).  The
-    partition compares only a group's median with the pivot and then the two
-    members on the side the median does not settle.
+    recursion that picks the pivot from the group medians also reports which
+    medians it found below the pivot, so the partition compares only the two
+    members of each group on the side its median does not settle.  If lower
+    is a set, the call adds to it every value it placed below its answer,
+    and perhaps the answer's own value, which a caller tells apart with ==.
     """
     less = cmp.less
     while True:
         n = len(vals)
         if n <= 5:
             _insertion_sort_range(vals, 0, n - 1, cmp)
+            if lower is not None:
+                lower.update(vals[:t])
             return vals[t]
         groups = _group_fives(vals, cmp)
         medians = [group[2] for group in groups]
@@ -100,7 +106,8 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
         if full < n:
             _insertion_sort_range(vals, full, n - 1, cmp)
             medians.append(vals[full + (n - full) // 2])
-        pivot = _mom_smallest(medians, len(medians) // 2, cmp)
+        settled: set = set()
+        pivot = _mom_smallest(medians, len(medians) // 2, cmp, settled)
         below: list = []
         above: list = []
         unsettled = vals[full:]
@@ -111,7 +118,7 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
                 eq += (lo0, lo1, median, hi0, hi1).count(pivot)
                 below += [v for v in (lo0, lo1) if v != pivot]
                 above += [v for v in (hi0, hi1) if v != pivot]
-            elif less(median, pivot):
+            elif median in settled:
                 below += (lo0, lo1, median)
                 unsettled += (hi0, hi1)
             else:
@@ -125,6 +132,9 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
             else:
                 above.append(v)
         nb = len(below)
+        if t >= nb and lower is not None:
+            lower.update(below)
+            lower.add(pivot)
         if t < nb:
             vals = below
         elif t < nb + eq:
@@ -135,9 +145,10 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator) -> Element:
 
 
 # Tournament worst case allowed, in units of P.  Of the random pools with
-# P <= 200, none within 2P cost more than mom, and 56 of the 10687 (P, k) cells
-# between 2P and 4P did, all at P <= 109; the band as a whole cost 41% less.
-# Beyond 4P the replays cost more Python time than the comparisons they save.
+# P <= 200, one of the 5761 (P, k) cells within 2P cost more than mom (P = 6,
+# k = 3: 9 against 8), and 63 of the 10687 cells between 2P and 4P did, all
+# at P <= 109; that band as a whole cost 35% less.  Beyond 4P the replays
+# cost more Python time than the comparisons they save.
 _TOURNAMENT_BUDGET = 4
 
 

@@ -131,8 +131,8 @@ class TestRun:
         ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,22,9,,"),
         ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
         ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
-        ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,318,,,false"),
-        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,563,,3,false"),
+        ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,237,,,false"),
+        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,372,,3,false"),
     ])
     def test_golden_rows(self, capsys, argv, row):
         code, out, _ = run_cli(capsys, "run", "--algo", *argv.split())
@@ -322,16 +322,19 @@ class TestPlotData:
         (("plot-data", "--from", "0.005", "--to", "0.33", "--step", "0.005"),
          "19cb518ee69921d7c3403dd98f536fc7b8cedc5cb8cfea3ae4150e1e68cea188"),
         (tuple("bench --algo a2lv --n 2000 --i 700 --j 700 --trials 5 --baseline fr-median".split()),
-         "2012f4ee5fb307f6a44701c8da991bf42f82def6360879135028a41a556cbcb1"),
+         "e788f276b014d0c315cdebe320340db51e1fb28dbc6fea6c1cbd9a8b72e65f8d"),
         # averages 1.2 rounds per trial, so retried tallies are summed
         (tuple("bench --algo a2lv --n 80 --i 18 --j 18 --trials 10 --baseline fr-median".split()),
-         "426ed123626378f31fd7d79d9e07a4441b72a619b317d71568fbaebfd553d57c"),
+         "08f8aa2737631ea570b69ef1a1c093710db42248331310a0eb764f91158d6de1"),
         (tuple("bench --algo a1 --n 200 --i 10 --j 179 --trials 4 --baseline fr-median".split()),
-         "9a2437859f479338afc5a42fc23dee5673b210eb1d29dac25aada61c28fc28f2"),
+         "66c738c164da3d486c356a392d44c3f6782d92a00f770f81e387126ad51ed730"),
         (tuple("bench --algo hyper --g 4 --n 64 --i 4 --j 20 --trials 20".split()),
          "050b994b5398c855fae3d741b6bf060446550eaaa454e4b65ba8cae107ecfb14"),
         (tuple("bench --algo a2 --n 200 --i 40 --j 40 --trials 50".split()),
-         "83ee03b592ff14d5f41749ceab92dc066d4519990832ff538730c546cfb32c44"),
+         "d6135234c6d1b7a9cc8285e20a5efb4b32b8a3f21df2147a6f5ed30be2508ba3"),
+        # P = 1500, k = 501: the tournament's worst case is 4.67P, so median-of-medians
+        (tuple("bench --algo yao --n 2000 --i 500 --j 999 --trials 3".split()),
+         "2f682109865e015d406a5df906d71f9c02e03ed3deda018a0f418048c44c236e"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):

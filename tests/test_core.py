@@ -116,6 +116,7 @@ class TestGenerateInstance:
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(core, "_perms", {})
         monkeypatch.setattr(core, "_perm_total", 0)
+        monkeypatch.setattr(core, "_ints", [])
 
     CASES = [(1, 0), (2, 5), (64, 3), (64, 4), (1000, 7), (3000, 2**64 - 1)]
 
@@ -195,6 +196,16 @@ class TestGenerateInstance:
         for _ in ("miss", "hit"):
             generate_instance(64, 3, 4, seed=5)
         assert calls == [(64, 3, 4)] * 2
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_cached_permutations_share_their_ints(self):
+        # ints above 256 are separate objects unless the cache shares them
+        shapes = [(3000, 1), (3000, 2), (1000, 3), (5000, 4)]
+        perms = [generate_instance(n, 0, 0, seed).elements for n, seed in shapes]
+        shared = {v: v for v in perms[-1]}
+        for (n, seed), perm in zip(shapes, perms):
+            assert perm == _uncached(n, seed)
+            assert all(shared[v] is v for v in perm), (n, seed)
 
     def test_instances_sharing_a_permutation_keep_their_own_shape(self):
         a = generate_instance(40, 3, 30, seed=11)
