@@ -225,6 +225,22 @@ class TestBench:
         assert out == ""
         assert "power of 2" in err
 
+    # Pinned rows: failure_rate is set on a2 only, mean_repetitions on a2lv only.
+    @pytest.mark.parametrize("argv,rows", [
+        ("a2 --n 120 --i 24 --j 20 --trials 40 --seed-base 17",
+         ["a2,120,24,20,40,139.0250,15.2684,175,0.0500,,17"]),
+        ("a2lv --n 120 --i 20 --j 30 --trials 8 --seed-base 100 --baseline fr-median", [
+            "a2lv,120,20,30,8,176.0000,51.1542,306,,1.1250,100",
+            "fr-median,120,20,30,8,136.1250,27.2967,191,,,100",
+        ]),
+        ("yao --n 50 --i 5 --j 20 --trials 6 --seed-base 3", ["yao,50,5,20,6,43.8333,0.6872,45,,,3"]),
+        ("hyper --g 8 --n 200 --i 3 --j 60 --trials 4 --seed-base 9", ["hyper,200,3,60,4,94.7500,0.8292,96,,,9"]),
+    ])
+    def test_golden_rows(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, "bench", "--algo", *argv.split())
+        assert code == 0
+        assert out == "\n".join([cli.BENCH_HEADER, *rows]) + "\n"
+
     def test_single_trial_replays_as_run(self, capsys):
         # trial t of a bench is exactly `run` with seed seed_base + t, each
         # trial and the fr-median baseline counted on a comparator of its own
