@@ -63,13 +63,11 @@ def grouped_select(
     their maxima form the pool handed to exact.  The i maxima above the
     selected one guard the top; every group whose maximum it beats lies
     wholly below it, as does the rest of its own group, which guards the
-    bottom.  The outcome records the knockout tally as stage_comparisons.
+    bottom.  The knockout stage costs size - len(pool) comparisons (see
+    _group_max), which the outcome records as stage_comparisons.
     """
-    start = cmp.comparisons
     pool = _group_max(instance.elements[:size], g, cmp)
-    stage = cmp.comparisons - start
-    x = exact(pool, instance.i + 1, cmp)
-    return SelectionOutcome(x, stage)  # positional: cheaper per call
+    return SelectionOutcome(exact(pool, instance.i + 1, cmp), size - len(pool))  # positional: cheaper
 
 
 def yao_select(instance: Instance, exact: ExactSelector, cmp: CountingComparator) -> SelectionOutcome:
@@ -186,7 +184,7 @@ def a2_las_vegas(instance: Instance, cmp: CountingComparator, rng: Rng) -> Selec
     for rep in range(1, _LAS_VEGAS_CAP + 1):
         out = a2_once(instance, cmp, rng)
         if not out.failed:
-            return SelectionOutcome(out.element, repetitions=rep)
+            return SelectionOutcome(out.element, failed=False, repetitions=rep)
     raise RuntimeError(
         f"sampling selection failed {_LAS_VEGAS_CAP} consecutive times; "
         "this points at a broken sampler or comparator"

@@ -44,26 +44,25 @@ BENCH_HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
-def _csv_row(row: tuple, alpha_spec: str) -> str:
-    """alpha in alpha_spec, then ints as is and floats to four decimals."""
-    alpha, *cells = row
-    cells = [str(c) if isinstance(c, int) else _fmt(c) for c in cells]
-    return ",".join([format(alpha, alpha_spec), *cells])
+def _csv(*cells) -> str:
+    """One CSV line: None empty, bools true or false, floats to four decimals, the rest as str."""
+    return ",".join(
+        "" if c is None
+        else ("true" if c else "false") if isinstance(c, bool)  # before str(): a bool is an int
+        else f"{c:.4f}" if isinstance(c, float)
+        else str(c)
+        for c in cells
+    )
 
 
 def table_lines(which: str) -> list[str]:
-    """The CSV lines of a published cost table, header first."""
-    return [TABLES[which][0]] + [_csv_row(row, ".2f") for row in tables(which)]
+    """The CSV lines of a published cost table, header first, alpha to two decimals."""
+    return [TABLES[which][0]] + [_csv(f"{alpha:.2f}", *rest) for alpha, *rest in tables(which)]
 
 
 def curve_lines(alpha_from: float, alpha_to: float, step: float) -> list[str]:
     """The CSV lines of the cost-constant curve on an alpha grid, header first."""
-    rows = curve(alpha_from, alpha_to, step)
-    return [TABLES["constants"][0]] + [_csv_row(row, ".4f") for row in rows]
+    return [TABLES["constants"][0]] + [_csv(*row) for row in curve(alpha_from, alpha_to, step)]
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, list[str]]:
@@ -101,31 +100,26 @@ def cmd_run(args: argparse.Namespace) -> tuple[int, list[str]]:
     out = _select(args.algo, instance, args.g, args.exact, args.seed, cmp)
     rank = rank_of(out.element, instance)
     mediocre = args.j <= rank <= args.n - 1 - args.i and not out.failed
-    stage = out.stage_comparisons
-    repetitions = out.repetitions if args.algo == "a2lv" else ""
-    failed = str(out.failed).lower() if args.algo in ("a2", "a2lv") else ""
-    row = (
-        f"{args.algo},{args.n},{args.i},{args.j},{args.g if args.g is not None else ''},"
-        f"{args.seed},{out.element},{rank},{'true' if mediocre else 'false'},"
-        f"{cmp.comparisons},{stage if stage is not None else ''},{repetitions},{failed}"
+    row = _csv(
+        args.algo, args.n, args.i, args.j, args.g, args.seed, out.element, rank, mediocre,
+        cmp.comparisons, out.stage_comparisons, out.repetitions, out.failed,
     )
     return 3 if out.failed else 0, [RUN_HEADER, row]
 
 
 def _stats_row(algo: str, n: int, i: int, j: int, seed_base: int, results) -> str:
-    """One bench row from the (outcome, comparisons) pair of every trial."""
+    """One bench row from the (outcome, comparisons) pair of every trial.
+
+    Only a2's failure rate is reported: a2lv outcomes are never failed.
+    """
     trials = len(results)
     counts = [c for _, c in results]
     mean = sum(counts) / trials
     sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / trials)
-    failure = sum(out.failed for out, _ in results) / trials
-    reps = sum(out.repetitions for out, _ in results) / trials
-    failure_s = _fmt(failure) if algo == "a2" else ""
-    reps_s = _fmt(reps) if algo == "a2lv" else ""
-    return (
-        f"{algo},{n},{i},{j},{trials},{_fmt(mean)},{_fmt(sd)},{max(counts)},"
-        f"{failure_s},{reps_s},{seed_base}"
-    )
+    failure = sum(out.failed for out, _ in results) / trials if algo == "a2" else None
+    reps = [out.repetitions for out, _ in results]
+    mean_reps = None if None in reps else sum(reps) / trials
+    return _csv(algo, n, i, j, trials, mean, sd, max(counts), failure, mean_reps, seed_base)
 
 
 def cmd_bench(args: argparse.Namespace) -> tuple[int, list[str]]:

@@ -201,15 +201,15 @@ class Instance:
 class SelectionOutcome:
     """Result of one selection run; its tally is on the comparator the caller passed.
 
-    stage_comparisons is the tally of the grouped schemes' knockout stage,
-    None for the other paths.  failed is meaningful only for the Monte Carlo
-    randomized path.  repetitions counts Las Vegas retries.
+    None marks a field that does not apply to the path that ran:
+    stage_comparisons is the grouped schemes' knockout tally, failed the
+    sampling schemes' verdict, and repetitions the Las Vegas round count.
     """
 
     element: Element
     stage_comparisons: int | None = None
-    failed: bool = False
-    repetitions: int = 1
+    failed: bool | None = None
+    repetitions: int | None = None
 
 
 def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:

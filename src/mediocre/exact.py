@@ -158,9 +158,9 @@ def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> El
     A knockout tournament when its worst case on P = len(buffer) elements,
     P - 1 + (k' - 1) * ceil(log2 P) with k' = min(k, P - k + 1), is at most
     _TOURNAMENT_BUDGET * P; median-of-medians otherwise.  The choice reads
-    only (P, k), never the data.
+    only (P, k), never the data.  A k outside 1..P gives k' <= 0, within the
+    budget, so select_tournament rejects it.
     """
-    _check_k(buffer, k)
     size = len(buffer)
     rank = min(k, size - k + 1)
     if size - 1 + (rank - 1) * (size - 1).bit_length() <= _TOURNAMENT_BUDGET * size:

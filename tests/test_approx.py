@@ -216,12 +216,13 @@ class TestHyperpair:
         assert cmp.comparisons == 7
 
     def test_group_stage_count_identity(self):
-        for g, i, j, n in [(2, 3, 9, 40), (4, 2, 19, 64), (8, 1, 30, 64), (16, 0, 31, 70)]:
+        # yao is the grouped scheme with g = 1: a pool of i + j + 1 and no stage
+        for g, i, j, n in [(1, 3, 9, 40), (2, 3, 9, 40), (4, 2, 19, 64), (8, 1, 30, 64), (16, 0, 31, 70)]:
             inst = generate_instance(n, i, j, seed=g)
             m = i + -(-(j + 1) // g)
             cmp = CountingComparator()
             wrapped, cell = staged(select_by_sort, cmp)
-            out = hyperpair_select(inst, g, wrapped, cmp)
+            out = yao_select(inst, wrapped, cmp) if g == 1 else hyperpair_select(inst, g, wrapped, cmp)
             assert cell[0] == m * (g - 1)
             assert out.stage_comparisons == cell[0]
 

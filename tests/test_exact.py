@@ -53,6 +53,21 @@ def tournament_bound(size, k):
     return size - 1 + (min(k, size - k + 1) - 1) * (size - 1).bit_length()
 
 
+@pytest.mark.parametrize(
+    "select", [select_by_sort, select_tournament, select_mom, select_floyd_rivest],
+    ids=["sort", "tournament", "mom", "fr"],
+)
+@pytest.mark.parametrize(
+    "buffer,k", [([1, 2], 0), ([1, 2], 3), ([], 1)], ids=["k_zero", "k_above_len", "empty"]
+)
+def test_invalid_k_is_rejected(select, buffer, k):
+    cmp = CountingComparator()
+    rng = (Rng(0),) if select is select_floyd_rivest else ()
+    with pytest.raises(ValueError, match=rf"1 <= k <= len\(buffer\) violated: k = {k}, len = {len(buffer)}"):
+        select(buffer, k, cmp, *rng)
+    assert cmp.comparisons == 0
+
+
 class TestSelectBySort:
     @pytest.mark.parametrize(
         "buffer,k,expected",
@@ -60,12 +75,6 @@ class TestSelectBySort:
     )
     def test_examples(self, buffer, k, expected):
         assert select_by_sort(buffer, k, CountingComparator()) == expected
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="1 <= k <= len"):
-            select_by_sort([1, 2], 3, CountingComparator())
-        with pytest.raises(ValueError, match="1 <= k <= len"):
-            select_by_sort([1, 2], 0, CountingComparator())
 
 
 class TestSelectMom:
@@ -215,10 +224,6 @@ class TestTournament:
         cmp = CountingComparator()
         assert select_tournament(buf, 2, cmp) == 6
         assert cmp.comparisons <= 9
-
-    def test_too_small_buffer(self):
-        with pytest.raises(ValueError, match="1 <= k <= len"):
-            select_tournament([1], 2, CountingComparator())
 
     @given(st.one_of(
         st.lists(st.integers(0, 4), min_size=1, max_size=300),
