@@ -234,12 +234,12 @@ def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
 # Most elements the permutation cache holds at once, over all its entries.
 _PERM_BUDGET = 1 << 20
 # (n, seed) -> permutation, least recently used first; _perm_total counts its
-# elements.  Both change together, under _perm_lock.
+# elements, _perm_lengths its entries of each n.  All change under _perm_lock.
 _perms: dict[tuple[int, int], tuple[int, ...]] = {}
 _perm_total = 0
+_perm_lengths: dict[int, int] = {}
 # 0, 1, 2, ... as one set of int objects that every cached permutation
-# shares, grown under _perm_lock to the longest n kept so far (at most
-# _PERM_BUDGET).
+# shares, as long as the longest one cached.
 _ints: list[int] = []
 _perm_lock = allocate_lock()
 
@@ -251,18 +251,24 @@ def _permutation(n: int, seed: int) -> tuple[int, ...]:
     with _perm_lock:
         perm = _perms.pop(key, None)
         if perm is None:
-            if n <= _PERM_BUDGET:
-                _ints.extend(range(len(_ints), n))
-                xs = _ints[:n]
-            else:
+            if n > _PERM_BUDGET:
                 xs = list(range(n))
+                Rng(seed).shuffle(xs)
+                return tuple(xs)
+            _ints.extend(range(len(_ints), n))
+            xs = _ints[:n]
             Rng(seed).shuffle(xs)
             perm = tuple(xs)
-            if n > _PERM_BUDGET:
-                return perm
+            _perm_lengths[n] = _perm_lengths.get(n, 0) + 1
             while _perm_total + n > _PERM_BUDGET:
-                _perm_total -= len(_perms.pop(next(iter(_perms))))
+                m = len(_perms.pop(next(iter(_perms))))
+                _perm_total -= m
+                _perm_lengths[m] -= 1
+                if not _perm_lengths[m]:
+                    del _perm_lengths[m]
             _perm_total += n
+            if len(_ints) not in _perm_lengths:  # the longest permutation was evicted
+                del _ints[max(_perm_lengths) :]
         _perms[key] = perm
         return perm
 

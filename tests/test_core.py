@@ -116,6 +116,7 @@ class TestGenerateInstance:
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(core, "_perms", {})
         monkeypatch.setattr(core, "_perm_total", 0)
+        monkeypatch.setattr(core, "_perm_lengths", {})
         monkeypatch.setattr(core, "_ints", [])
 
     CASES = [(1, 0), (2, 5), (64, 3), (64, 4), (1000, 7), (3000, 2**64 - 1)]
@@ -206,6 +207,18 @@ class TestGenerateInstance:
         for (n, seed), perm in zip(shapes, perms):
             assert perm == _uncached(n, seed)
             assert all(shared[v] is v for v in perm), (n, seed)
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_shared_ints_shrink_to_the_longest_cached_permutation(self, monkeypatch):
+        monkeypatch.setattr(core, "_PERM_BUDGET", 100)
+        shapes = [(90, 0), (30, 1), (20, 2), (30, 3), (50, 4), (10, 5), (10, 6), (60, 7), (45, 8)]
+        longest = []
+        for n, seed in shapes:
+            assert generate_instance(n, 0, 0, seed).elements == _uncached(n, seed)
+            assert len(core._ints) == max(m for m, _ in core._perms)
+            longest.append(len(core._ints))
+        # it shrinks only as the longest permutation leaves: the 90, then the 60
+        assert longest == [90, 30, 30, 30, 50, 50, 50, 60, 45]
 
     def test_instances_sharing_a_permutation_keep_their_own_shape(self):
         a = generate_instance(40, 3, 30, seed=11)
