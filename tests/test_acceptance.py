@@ -137,7 +137,7 @@ TOL = 1e-4
 
 
 def test_criterion_01_f_table_fidelity(capsys):
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = _cli(capsys, "table", "--which", "f")
     assert lines[0] == "alpha,l,g_l,g_l1,f"
     rows = [line.split(",") for line in lines[1:]]
@@ -151,12 +151,12 @@ def test_criterion_01_f_table_fidelity(capsys):
             # half a ULP of the printed 4-decimal output on top of the stated tolerance
             if abs(got - want) > TOL + 5e-5:
                 bad.append((ref[0], col, got, want))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(1, "f-table fidelity", not bad and elapsed < 1.0, f"(33 rows, {elapsed:.2f}s) {bad}")
 
 
 def test_criterion_02_constants_fidelity(capsys):
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = _cli(capsys, "table", "--which", "constants")
     assert lines[0] == "alpha,c_a1,c_yao"
     rows = [line.split(",") for line in lines[1:]]
@@ -172,13 +172,13 @@ def test_criterion_02_constants_fidelity(capsys):
         ic = instance_constants(s / 100.0)
         if not ic.c_a1 < ic.c_yao:
             bad.append((s, "strict", ic.c_a1, ic.c_yao))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(2, "constants fidelity + strict inequality", not bad and elapsed < 1.0,
             f"(33 rows, {elapsed:.2f}s) {bad}")
 
 
 def test_criterion_03_hyperpair_constants():
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for alpha, want_a4, want_yao4 in ((0.10, 1.5, 1.525), (0.13, 1.5, 1.56)):
         ic = instance_constants(alpha)
@@ -192,7 +192,7 @@ def test_criterion_03_hyperpair_constants():
         ic = instance_constants(s / 100.0)
         if not ic.c_a4 < ic.c_yao4:
             bad.append((s, "strict", ic.c_a4, ic.c_yao4))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(3, "hyperpair constants", not bad and elapsed < 1.0, f"({elapsed:.2f}s) {bad}")
 
 
@@ -235,7 +235,7 @@ def _mediocrity_chunk(args):
 
 
 def test_criterion_04_exhaustive_deterministic_mediocrity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     total9 = math.factorial(9)
     chunk = total9 // 32
@@ -252,13 +252,13 @@ def test_criterion_04_exhaustive_deterministic_mediocrity():
         for chunk_runs, chunk_failures in pool.imap_unordered(_mediocrity_chunk, jobs):
             runs += chunk_runs
             failures.extend(chunk_failures[:5])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(4, "exhaustive mediocrity n<=9", not failures and elapsed < 120.0,
             f"({runs} runs, {elapsed:.1f}s) {failures[:5]}")
 
 
 def test_criterion_05_count_identities():
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
 
     def staged(cmp):
@@ -330,12 +330,12 @@ def test_criterion_05_count_identities():
             if not cost_ok or not is_mediocre(out.element, inst):
                 bad.append(("yao-default", i, j, cmp.comparisons))
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(5, "count identities", not bad and elapsed < 120.0, f"({elapsed:.1f}s) {bad}")
 
 
 def test_criterion_06_a2_safety_and_failure_bound():
-    t0 = time.time()
+    t0 = time.perf_counter()
     n, i, j = 20000, 8318, 8318
     params = a2_params(i, j, n)
     bound = 2.0 * params.m ** -0.25
@@ -353,14 +353,14 @@ def test_criterion_06_a2_safety_and_failure_bound():
         if cmp.comparisons > params.m + 16 * params.r:
             budget_violations.append(seed)
     rate = failures / 1000
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = not wrong and not budget_violations and rate <= bound and elapsed < 120.0
     _report(6, "a2 safety + failure bound", ok,
             f"(failure rate {rate:.4f} <= {bound:.4f}, wrong={wrong}, {elapsed:.1f}s)")
 
 
 def test_criterion_07_average_comparison_gap():
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = 20000
     i = j = 8318  # n/2 - n^(3/4), rounded
     subset_size = i + j + 1
@@ -379,7 +379,7 @@ def test_criterion_07_average_comparison_gap():
         fr_counts.append(cmp.comparisons)
     lv_mean = statistics.mean(lv_counts)
     fr_mean = statistics.mean(fr_counts)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     # the exact-median baseline band is relative to its own input size
     ok = (
         lv_mean <= 1.15 * n
@@ -392,7 +392,7 @@ def test_criterion_07_average_comparison_gap():
 
 
 def test_criterion_08_lower_bound_cross_checks():
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     if lower_bound(1, 2) != 4:
         bad.append(("value", lower_bound(1, 2)))
@@ -408,7 +408,7 @@ def test_criterion_08_lower_bound_cross_checks():
         for j in range(1, 101):
             if lower_bound(i, j) > i + j + math.ceil(math.log2(i + j + 2)):
                 bad.append(("weakness", i, j))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(8, "lower-bound cross-checks", not bad and elapsed < 5.0, f"({elapsed:.1f}s) {bad}")
 
 
@@ -429,7 +429,7 @@ def _oracle_chunk(args):
 
 
 def test_criterion_09_exact_selector_oracle_equivalence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = [(size, 0, math.factorial(size)) for size in range(1, 8)]
     total8 = math.factorial(8)
     chunk = total8 // 12
@@ -453,13 +453,13 @@ def test_criterion_09_exact_selector_oracle_equivalence():
             got = select_floyd_rivest(inst.elements, k, CountingComparator(), Rng(rng.next_u64()))
         if got != want:
             bad.append(("fuzz", size, k, which))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(9, "exact-selector oracle equivalence", not bad and elapsed < 120.0,
             f"({elapsed:.1f}s) {bad[:5]}")
 
 
 def test_criterion_10_reproducibility(capsys):
-    t0 = time.time()
+    t0 = time.perf_counter()
     command_lines = [
         ("run", "--algo", "a2", "--n", "300", "--i", "60", "--j", "60", "--seed", "17"),
         ("run", "--algo", "a1", "--n", "12", "--i", "2", "--j", "7", "--seed", "5"),
@@ -483,5 +483,5 @@ def test_criterion_10_reproducibility(capsys):
     second = subprocess.run(proc_cmd, capture_output=True, text=True)
     if first.stdout != second.stdout:
         bad.append("subprocess")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(10, "byte-identical reproducibility", not bad, f"({elapsed:.1f}s) {bad}")
