@@ -77,6 +77,8 @@ def _select(
     fr-median is the baseline: yao's prefix scheme with Floyd-Rivest, the
     exact (i+1)-th largest of the first i+j+1 elements (their median at i = j).
     """
+    if g is not None and algo not in ("hyper", "fr-median"):  # a hyper bench hands g to its baseline
+        raise ValueError("--g applies only to --algo hyper")
     if algo == "yao":
         return yao_select(instance, _EXACT[exact_name], cmp)
     if algo == "a1":

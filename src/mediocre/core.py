@@ -218,10 +218,12 @@ def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
     The permutation, Rng(seed).shuffle of range(n), is memoized per (n, seed):
     the cache drops its least recently used entries to hold at most
     _PERM_BUDGET elements in all, and a permutation longer than that is not
-    kept.  The cache is one per process, locked for use from threads.  Calls
-    with equal (n, seed) share one elements tuple (immutable); each returns
-    a fresh Instance with its own i, j and n.  The permutation is distinct by
-    construction, so it skips Instance's distinctness scan.
+    kept.  Cached permutations share one set of ints, as many as the longest
+    ever cached, so the budget alone bounds the cache's memory.  The cache is
+    one per process, locked for use from threads.  Calls with equal (n, seed)
+    share one elements tuple (immutable); each returns a fresh Instance with
+    its own i, j and n.  The permutation is distinct by construction, so it
+    skips Instance's distinctness scan.
     """
     if n < 1:
         raise ValueError(f"n >= 1 violated: n = {n}")
@@ -231,15 +233,16 @@ def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
     return instance
 
 
-# Most elements the permutation cache holds at once, over all its entries.
-_PERM_BUDGET = 1 << 20
+# Most elements the permutation cache holds at once, over all its entries:
+# 3.3 times the largest set a benchmark workload reuses, skew-det's four seeds
+# at n = 20000.
+_PERM_BUDGET = 1 << 18
 # (n, seed) -> permutation, least recently used first; _perm_total counts its
-# elements, _perm_lengths its entries of each n.  All change under _perm_lock.
+# elements.  Both change under _perm_lock.
 _perms: dict[tuple[int, int], tuple[int, ...]] = {}
 _perm_total = 0
-_perm_lengths: dict[int, int] = {}
 # 0, 1, 2, ... as one set of int objects that every cached permutation
-# shares, as long as the longest one cached.
+# shares, as long as the longest one ever cached (at most _PERM_BUDGET).
 _ints: list[int] = []
 _perm_lock = allocate_lock()
 
@@ -259,16 +262,9 @@ def _permutation(n: int, seed: int) -> tuple[int, ...]:
             xs = _ints[:n]
             Rng(seed).shuffle(xs)
             perm = tuple(xs)
-            _perm_lengths[n] = _perm_lengths.get(n, 0) + 1
             while _perm_total + n > _PERM_BUDGET:
-                m = len(_perms.pop(next(iter(_perms))))
-                _perm_total -= m
-                _perm_lengths[m] -= 1
-                if not _perm_lengths[m]:
-                    del _perm_lengths[m]
+                _perm_total -= len(_perms.pop(next(iter(_perms))))
             _perm_total += n
-            if len(_ints) not in _perm_lengths:  # the longest permutation was evicted
-                del _ints[max(_perm_lengths) :]
         _perms[key] = perm
         return perm
 

@@ -117,6 +117,16 @@ class TestRun:
             assert out == ""
             assert "--g is required" in err
 
+    @pytest.mark.parametrize("algo", ["yao", "a2"])
+    def test_group_size_only_for_hyper(self, capsys, algo):
+        for command, count in (("run", "--seed"), ("bench", "--trials")):
+            code, out, err = run_cli(
+                capsys, command, "--algo", algo, "--g", "4", "--n", "50", "--i", "5", "--j", "20", count, "3"
+            )
+            assert code == 2
+            assert out == ""
+            assert "--g applies only to --algo hyper" in err
+
     def test_parameter_error_names_inequality(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "yao", "--n", "3", "--i", "2", "--j", "2", "--seed", "1")
         assert code == 2

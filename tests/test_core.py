@@ -116,7 +116,6 @@ class TestGenerateInstance:
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(core, "_perms", {})
         monkeypatch.setattr(core, "_perm_total", 0)
-        monkeypatch.setattr(core, "_perm_lengths", {})
         monkeypatch.setattr(core, "_ints", [])
 
     CASES = [(1, 0), (2, 5), (64, 3), (64, 4), (1000, 7), (3000, 2**64 - 1)]
@@ -209,16 +208,22 @@ class TestGenerateInstance:
             assert all(shared[v] is v for v in perm), (n, seed)
 
     @pytest.mark.usefixtures("empty_cache")
-    def test_shared_ints_shrink_to_the_longest_cached_permutation(self, monkeypatch):
+    def test_budget_bounds_the_cached_elements_and_the_shared_ints(self, monkeypatch):
         monkeypatch.setattr(core, "_PERM_BUDGET", 100)
-        shapes = [(90, 0), (30, 1), (20, 2), (30, 3), (50, 4), (10, 5), (10, 6), (60, 7), (45, 8)]
-        longest = []
+        shapes = [(90, 0), (30, 1), (20, 2), (30, 3), (101, 9), (50, 4), (10, 5), (100, 6), (60, 7), (45, 8)]
         for n, seed in shapes:
+            ints = len(core._ints)
             assert generate_instance(n, 0, 0, seed).elements == _uncached(n, seed)
-            assert len(core._ints) == max(m for m, _ in core._perms)
-            longest.append(len(core._ints))
-        # it shrinks only as the longest permutation leaves: the 90, then the 60
-        assert longest == [90, 30, 30, 30, 50, 50, 50, 60, 45]
+            assert core._perm_total <= 100 and len(core._ints) <= 100, (n, seed)
+            if n == 101:  # longer than the budget: neither kept nor grows the shared ints
+                assert (101, 9) not in core._perms and len(core._ints) == ints
+
+    @pytest.mark.usefixtures("empty_cache")
+    def test_budget_holds_a_skew_det_pass(self):
+        # skew-det reuses four seeds at n = 20000 within each pass
+        first = [generate_instance(20000, 0, 0, seed).elements for seed in range(4)]
+        for seed, perm in enumerate(first):
+            assert generate_instance(20000, 0, 0, seed).elements is perm
 
     def test_instances_sharing_a_permutation_keep_their_own_shape(self):
         a = generate_instance(40, 3, 30, seed=11)
