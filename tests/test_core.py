@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediocre import core
+from mediocre import A2Params, InstanceConstants, SelectionOutcome, core
 from mediocre.core import (
     _BLOCK,
     CountingComparator,
@@ -447,6 +449,42 @@ class TestRngMemory:
     def test_sample_of_100k(self):
         count = 100_000
         assert _peak_above_result(lambda: Rng(3).sample_with_replacement(200_000, count)) < self.ALLOWANCE < 16 * count
+
+
+class TestPublicRecords:
+    RECORDS = [
+        (SelectionOutcome, {"element": 7, "stage_comparisons": 3, "failed": False, "repetitions": 2}),
+        (A2Params, {"m": 32, "r": 13, "k": 6}),
+        (InstanceConstants, {"alpha": 0.25, "c_a1": 1.5, "c_yao": 1.8, "c_a4": None, "c_yao4": None}),
+    ]
+
+    @pytest.mark.parametrize("cls,fields", RECORDS, ids=lambda r: getattr(r, "__name__", ""))
+    def test_records_compare_and_print_field_by_field(self, cls, fields):
+        record = cls(*fields.values())
+        assert record == cls(**fields)
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+        first = next(iter(fields))
+        assert record != cls(**{**fields, first: -1})
+
+    def test_outcome_defaults_to_none(self):
+        out = SelectionOutcome(5)
+        assert out == SelectionOutcome(element=5, stage_comparisons=None, failed=None, repetitions=None)
+        assert (out.stage_comparisons, out.failed, out.repetitions) == (None, None, None)
+
+    def test_instance_checks_its_shape_and_elements(self):
+        inst = Instance(1, 1, (2, 0, 1))
+        assert (inst.i, inst.j, inst.elements, inst.n) == (1, 1, (2, 0, 1), 3)
+        assert inst == Instance(i=1, j=1, elements=(2, 0, 1))
+        assert inst != Instance(1, 0, (2, 0, 1))
+        generated = generate_instance(9, 2, 3, seed=4)
+        assert generated == Instance(2, 3, generated.elements) and generated.n == 9
+        assert all(f"{name}=" in repr(inst) for name in ("i", "j", "elements"))
+        assert pickle.loads(pickle.dumps(inst)) == copy.copy(inst) == inst
+        with pytest.raises(ValueError, match=re.escape("i + j + 1 <= n violated: 2 + 1 + 1 > 3")):
+            Instance(2, 1, (2, 0, 1))
+        with pytest.raises(ValueError, match="^elements must be pairwise distinct$"):
+            Instance(0, 0, (1, 1, 2))
 
 
 def test_import_builds_no_lane_constants():
