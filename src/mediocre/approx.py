@@ -10,8 +10,8 @@ and replayable.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 from .core import CountingComparator, Element, Instance, Rng, SelectionOutcome, _check_shape
 from .exact import _fr_smallest
@@ -21,13 +21,8 @@ ExactSelector = Callable[[Sequence[Element], int, CountingComparator], Element]
 _LAS_VEGAS_CAP = 100
 
 
-@dataclass(slots=True)
-class A2Params:
-    """Working-set size m, sample size r and target sample rank k."""
-
-    m: int
-    r: int
-    k: int
+A2Params = namedtuple("A2Params", "m r k")
+A2Params.__doc__ = "Working-set size m, sample size r and target sample rank k."
 
 
 def _round_half_up(x: float) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import sys
 from _thread import allocate_lock
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
-from operator import mod
+from operator import attrgetter, mod
 
 Element = int
 
@@ -177,28 +176,36 @@ def _check_shape(n: int, i: int, j: int) -> None:
         raise ValueError(f"i + j + 1 <= n violated: {i} + {j} + 1 > {n}")
 
 
-@dataclass(slots=True)
-class Instance:
+class _Record:
+    """Field-wise == and a repr that names every slot."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        fields = attrgetter(*self.__slots__)
+        return other.__class__ is self.__class__ and fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+
+class Instance(_Record):
     """A selection problem: find an element outside the top i and bottom j of elements.
 
     n = len(elements) is kept in a slot, as the schemes read it on every call.
     Treat as immutable after construction.
     """
 
-    i: int
-    j: int
-    elements: tuple[Element, ...]
-    n: int = field(init=False)
+    __slots__ = ("i", "j", "elements", "n")
 
-    def __post_init__(self) -> None:
-        self.n = len(self.elements)
-        _check_shape(self.n, self.i, self.j)
-        if len(set(self.elements)) != self.n:
+    def __init__(self, i: int, j: int, elements: tuple[Element, ...]) -> None:
+        self.i, self.j, self.elements, self.n = i, j, elements, len(elements)
+        _check_shape(self.n, i, j)
+        if len(set(elements)) != self.n:
             raise ValueError("elements must be pairwise distinct")
 
 
-@dataclass(slots=True)
-class SelectionOutcome:
+class SelectionOutcome(_Record):
     """Result of one selection run; its tally is on the comparator the caller passed.
 
     None marks a field that does not apply to the path that ran:
@@ -206,10 +213,12 @@ class SelectionOutcome:
     sampling schemes' verdict, and repetitions the Las Vegas round count.
     """
 
-    element: Element
-    stage_comparisons: int | None = None
-    failed: bool | None = None
-    repetitions: int | None = None
+    __slots__ = ("element", "stage_comparisons", "failed", "repetitions")
+
+    def __init__(self, element: Element, stage_comparisons: int | None = None,
+                 failed: bool | None = None, repetitions: int | None = None) -> None:
+        self.element, self.stage_comparisons = element, stage_comparisons
+        self.failed, self.repetitions = failed, repetitions
 
 
 def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:

@@ -11,24 +11,17 @@ holds each published table's CSV header, percentile grid and row function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import _check_shape
 
 
-@dataclass(slots=True)
-class InstanceConstants:
-    """Per-element comparison constants on the standard instance families.
+InstanceConstants = namedtuple("InstanceConstants", "alpha c_a1 c_yao c_a4 c_yao4")
+InstanceConstants.__doc__ = """Per-element comparison constants on the standard instance families.
 
-    c_a1/c_yao live on 0 < alpha < 1/3 (pairs), c_a4/c_yao4 on
-    0 < alpha <= 1/5 (groups of four); fields outside their domain are None.
-    """
-
-    alpha: float
-    c_a1: float | None
-    c_yao: float | None
-    c_a4: float | None
-    c_yao4: float | None
+c_a1/c_yao live on 0 < alpha < 1/3 (pairs), c_a4/c_yao4 on
+0 < alpha <= 1/5 (groups of four); fields outside their domain are None.
+"""
 
 
 def g(alpha: float, l: int) -> float:

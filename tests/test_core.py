@@ -194,7 +194,8 @@ class TestGenerateInstance:
         calls = []
         check = core._check_shape
         monkeypatch.setattr(core, "_check_shape", lambda *a: calls.append(a) or check(*a))
-        monkeypatch.setattr(Instance, "__post_init__", lambda self: pytest.fail("scanned"))
+        # Instance's constructor is what scans for duplicates
+        monkeypatch.setattr(Instance, "__init__", lambda *a, **k: pytest.fail("scanned"))
         for _ in ("miss", "hit"):
             generate_instance(64, 3, 4, seed=5)
         assert calls == [(64, 3, 4)] * 2
@@ -497,3 +498,14 @@ def test_import_builds_no_lane_constants():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["0 False", "1"]  # import builds nothing; two shuffles, one build
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # -S skips site, so only what the package itself imports is loaded
+    code = (
+        "import sys; before = set(sys.modules); import mediocre, mediocre.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
