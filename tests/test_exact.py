@@ -10,6 +10,7 @@ from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
     _FR_SMALL,
     _TOURNAMENT_BUDGET,
+    _fr_smallest,
     _group_fives,
     _mom_smallest,
     select_by_sort,
@@ -304,6 +305,27 @@ class TestFloydRivest:
             tallies.append(cmp.comparisons)
         mean = statistics.mean(tallies)
         assert 1.40 * n <= mean <= 1.60 * n, mean
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_partition_contract(self, data):
+        # a2_once reads the sides of its sample, a multiset drawn with
+        # replacement, straight from the partition _fr_smallest leaves
+        values = st.integers(0, 7)
+        before = data.draw(st.lists(values, max_size=20))
+        size = data.draw(st.integers(1, 500))
+        inside = data.draw(st.lists(values, min_size=size, max_size=size))
+        arr = before + inside + data.draw(st.lists(values, max_size=20))
+        lo, hi = len(before), len(before) + len(inside) - 1
+        t = data.draw(st.integers(lo, hi))
+        original = list(arr)
+        x = _fr_smallest(arr, lo, hi, t, CountingComparator())
+        assert x == arr[t] == sorted(original[lo : hi + 1])[t - lo]
+        assert all(v <= x for v in arr[lo:t])
+        assert all(x <= v for v in arr[t + 1 : hi + 1])
+        assert sorted(arr[lo : hi + 1]) == sorted(original[lo : hi + 1])
+        assert len(arr) == len(original)
+        assert arr[:lo] == original[:lo] and arr[hi + 1 :] == original[hi + 1 :]
 
     def test_window_is_narrower_than_its_range(self):
         # _fr_smallest has no exit for a window spanning its whole range: above
