@@ -123,9 +123,8 @@ def a2_params(i: int, j: int, n: int) -> A2Params:
         raise ValueError(f"i + j + 2(i+j)^(3/4) <= n violated: {m} > {n}")
     r = _round_half_up(m**0.75)
     half_root = m**0.5 / 2.0
+    # i + j >= 16 gives m >= 32, where the band is never empty (8 wide at m = 32)
     low, high = math.ceil(half_root), r - math.floor(half_root)
-    if low > high:
-        raise ValueError(f"empty sample rank band for i = {i}, j = {j}: [{low}, {high}]")
     k = max(low, min(high, _round_half_up(j * m**-0.25 + half_root)))
     return A2Params(m=m, r=r, k=k)
 
@@ -144,11 +143,10 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     partition that selection leaves give every sampled element's relation to
     the candidate, so only never-sampled elements are compared afterwards.
     """
-    params = a2_params(instance.i, instance.j, instance.n)
-    m, r, k = params.m, params.r, params.k
-    working = instance.elements[:m]
+    m, r, k = a2_params(instance.i, instance.j, instance.n)
+    elements = instance.elements
     idxs = rng.sample_with_replacement(m, r)
-    sample = [working[q] for q in idxs]
+    sample = [elements[q] for q in idxs]
 
     x = _fr_smallest(sample, 0, r - 1, k - 1, cmp)
     # The selection pass leaves sample[:k-1] <= x <= sample[k:], so only
@@ -160,7 +158,7 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     for q in range(m):
         if q in sampled:
             continue
-        if less(working[q], x):
+        if less(elements[q], x):
             smaller += 1
         else:
             larger += 1

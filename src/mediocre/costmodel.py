@@ -30,7 +30,7 @@ def g(alpha: float, l: int) -> float:
         raise ValueError(f"0 < alpha <= 1/2 violated: alpha = {alpha}")
     if l < 0:
         raise ValueError(f"l >= 0 violated: l = {l}")
-    return 1.0 + (l + 2) * (alpha + (1.0 - alpha) / 2.0**l)
+    return 1.0 + (l + 2) * (alpha + math.ldexp(1.0 - alpha, -l))
 
 
 def l_star(alpha: float) -> int:
@@ -43,7 +43,7 @@ def l_star(alpha: float) -> int:
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"0 < alpha <= 1/2 violated: alpha = {alpha}")
-    x = math.log2(1.0 / alpha)
+    x = -math.log2(alpha)
     return max(1, math.ceil(x + math.log2(x)) - 1)
 
 

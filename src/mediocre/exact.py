@@ -181,15 +181,14 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
     that is Kislitsyn's P - 2 + ceil(log2 P), exact when P is a power of two.
     """
     _check_k(buffer, k)
-    vals = list(buffer)
-    size = len(vals)
+    size = len(buffer)
     rank = min(k, size - k + 1)
     less = cmp.less
     # before(x, y): x is knocked out by y
     before = less if rank == k else (lambda x, y: less(y, x))
     if rank == 1:
-        best = vals[0]
-        for v in vals[1:]:
+        best = buffer[0]
+        for v in buffer[1:]:
             if before(best, v):
                 best = v
         return best
@@ -199,7 +198,7 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
         winners = []
         it = iter(level)
         for a, b in zip(it, it):
-            winners.append(b if before(vals[a], vals[b]) else a)
+            winners.append(b if before(buffer[a], buffer[b]) else a)
         if len(level) & 1:
             winners.append(level[-1])
         levels.append(winners)
@@ -212,11 +211,11 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
             sib = pos ^ 1
             if sib < len(below):
                 s = below[sib]
-                if w < 0 or (s >= 0 and before(vals[w], vals[s])):
+                if w < 0 or (s >= 0 and before(buffer[w], buffer[s])):
                     w = s
             pos >>= 1
             above[pos] = w
-    return vals[levels[-1][0]]
+    return buffer[levels[-1][0]]
 
 
 def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -> Element:
@@ -226,10 +225,12 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
     size^(2/3) elements positioned so that the window's order statistic at
     index t estimates the global one.  The recursion leaves its window
     partitioned around that pivot, so the outer pass classifies only the
-    elements outside the window and stitches the segments back together.
-    On return arr[t] holds the answer, everything left of it resolved <= it
-    and everything right >= it (duplicates of a value are interchangeable).
+    elements outside the window and moves the window back between them as
+    one block.  On return arr[t] holds the answer, everything left of it
+    resolved <= it and everything right >= it (duplicates of a value are
+    interchangeable).
     """
+    less = cmp.less
     while True:
         size = hi - lo + 1
         if size <= _FR_SMALL:
@@ -240,9 +241,7 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
         loc = t - lo + 1
         wlo = max(lo, t - loc * window // size - slack)
         whi = min(hi, t + (size - loc) * window // size + slack)
-        _fr_smallest(arr, wlo, whi, t, cmp)
-        pivot = arr[t]
-        less = cmp.less
+        pivot = _fr_smallest(arr, wlo, whi, t, cmp)
         low_out: list = []
         high_out: list = []
         for v in arr[lo:wlo] + arr[whi + 1 : hi + 1]:
@@ -250,12 +249,10 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
                 low_out.append(v)
             else:
                 high_out.append(v)
-        wleft = arr[wlo:t]
-        wright = arr[t + 1 : whi + 1]
-        p = lo + len(low_out) + len(wleft)
-        arr[lo : hi + 1] = low_out + wleft + [pivot] + wright + high_out
+        p = lo + len(low_out) + t - wlo
+        arr[lo : hi + 1] = low_out + arr[wlo : whi + 1] + high_out
         if p == t:
-            return arr[p]
+            return pivot
         if t < p:
             hi = p - 1
         else:

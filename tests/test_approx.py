@@ -276,6 +276,15 @@ class TestA2Params:
         assert math.ceil(half_root) <= params.k <= params.r - math.floor(half_root)
         assert params.r <= 2 * (i + j) ** 0.75 + 1
 
+    def test_rank_band_is_never_empty(self):
+        # the band depends only on s = i + j; j = 0 and j = s meet its two
+        # clamps, and an empty band would put k above its upper end
+        for s in range(16, 10**5 + 1):
+            for j in (0, s):
+                m, r, k = a2_params(s - j, j, 10**9)
+                half_root = math.sqrt(m) / 2
+                assert math.ceil(half_root) <= k <= r - math.floor(half_root), (s, j)
+
 
 class TestA2Once:
     def test_deterministic_given_seed(self):

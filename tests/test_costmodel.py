@@ -36,6 +36,11 @@ class TestG:
         with pytest.raises(ValueError, match="l >= 0"):
             g(0.2, -1)
 
+    def test_l_above_the_float_exponent(self):
+        # 2**-1100 is below the smallest subnormal, so only the alpha term is left
+        assert g(0.1, 1100) == 1.0 + 1102 * 0.1
+        assert g(5e-324, 2000) == 1.0
+
 
 class TestLStar:
     @pytest.mark.parametrize("alpha,expected", [(0.01, 9), (0.25, 2), (0.5, 1), (0.20, 3)])
@@ -77,6 +82,15 @@ class TestF:
     def test_domain(self, alpha):
         with pytest.raises(ValueError):
             f(alpha)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308])
+    def test_tiny_alpha(self, alpha):
+        # 1/alpha overflows below about 5.6e-309, and on all four l_star
+        # exceeds 1023, where 2**l overflows
+        l = l_star(alpha)
+        assert 1023 < l < 1100
+        assert f(alpha) == min(g(alpha, l), g(alpha, l + 1), 3.0) == 1.0
+        assert tuple(instance_constants(alpha))[1:] == (1.0, 1.0, 1.0, 1.0)
 
     def test_cost_point_bundles_the_candidates(self):
         alpha, l, g_l, g_l1, f_val = tables("f")[3]

@@ -69,6 +69,27 @@ def test_invalid_k_is_rejected(select, buffer, k):
     assert cmp.comparisons == 0
 
 
+# At P = 69 the median's tournament worst case, 68 + 34 * 7, exceeds the
+# budget, so select_mom takes median-of-medians there (whose last, partial
+# group is sorted in place) and the tournament at k = 2.  On a tuple any
+# write into the buffer raises.
+@pytest.mark.parametrize("select,k", [
+    (select_by_sort, 35),
+    (select_tournament, 1), (select_tournament, 69),
+    (select_tournament, 3), (select_tournament, 67),
+    (select_mom, 2), (select_mom, 35),
+    (select_floyd_rivest, 35),
+], ids=["sort", "tournament-max", "tournament-min", "tournament-top", "tournament-bottom",
+        "mom-tournament", "mom-groups", "fr"])
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_does_not_mutate_input(select, k, kind):
+    elements = generate_instance(69, 0, 0, seed=1).elements
+    buf = kind(elements)
+    rng = (Rng(0),) if select is select_floyd_rivest else ()
+    assert select(buf, k, CountingComparator(), *rng) == sorted(elements)[69 - k]
+    assert buf == kind(elements)
+
+
 class TestSelectBySort:
     @pytest.mark.parametrize(
         "buffer,k,expected",
@@ -160,11 +181,6 @@ class TestSelectMom:
         cmp = RecordingComparator()
         select_mom(buf, 20, cmp)
         assert cmp.seen <= set(buf)
-
-    def test_does_not_mutate_input(self):
-        buf = [5, 3, 9, 1]
-        select_mom(buf, 2, CountingComparator())
-        assert buf == [5, 3, 9, 1]
 
 
 class TestGroupFives:
