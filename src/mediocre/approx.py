@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from itertools import compress
 
 from .core import CountingComparator, Element, Instance, Rng, SelectionOutcome, _check_shape
 from .exact import _fr_smallest
@@ -141,7 +142,8 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     The sample is selected in place by the narrowing selector, so the whole
     round stays within m + O(m^(3/4)) comparisons.  The sides of the
     partition that selection leaves give every sampled element's relation to
-    the candidate, so only never-sampled elements are compared afterwards.
+    the candidate, so only never-sampled elements are compared afterwards,
+    in one batch.
     """
     m, r, k = a2_params(instance.i, instance.j, instance.n)
     elements = instance.elements
@@ -153,15 +155,13 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     # copies of x can sit on both sides.
     smaller = len(set(sample[: k - 1]) - {x})
     larger = len(set(sample[k:]) - {x})
-    sampled = set(idxs)
-    less = cmp.less
-    for q in range(m):
-        if q in sampled:
-            continue
-        if less(elements[q], x):
-            smaller += 1
-        else:
-            larger += 1
+    unsampled = bytearray(b"\x01") * m
+    for q in idxs:
+        unsampled[q] = 0
+    flags = cmp.less_each(compress(elements, unsampled), x)
+    below = flags.count(1)
+    smaller += below
+    larger += len(flags) - below
     ok = larger >= instance.i and smaller >= instance.j
     return SelectionOutcome(x, failed=not ok)
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import sys
 from _thread import allocate_lock
+from collections.abc import Iterable
 from functools import cache
 from itertools import repeat
-from operator import attrgetter, mod
+from operator import attrgetter, lt, mod
 
 Element = int
 
@@ -32,6 +33,10 @@ class CountingComparator:
     The order is the natural order on integers.  There is no "equal" outcome:
     callers resolve identity with ``==`` (free: duplicates can only be copies
     of the same element), and ask the comparator only genuine order questions.
+    less answers one question and adds 1 to the tally; less_each answers one
+    question per value of a batch and adds one per value, so the tally still
+    counts questions.  A subclass that defines its own less, and no less_each
+    of its own, gets a less_each that asks its less once per value, in order.
     """
 
     __slots__ = ("comparisons",)
@@ -39,10 +44,29 @@ class CountingComparator:
     def __init__(self) -> None:
         self.comparisons = 0
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "less" in vars(cls) and "less_each" not in vars(cls):
+            cls.less_each = _less_each_by_less
+
     def less(self, a: Element, b: Element) -> bool:
         """True iff a orders strictly below b. Adds exactly 1 to the tally."""
         self.comparisons += 1
         return a < b
+
+    def less_each(self, values: Iterable[Element], b: Element) -> bytes:
+        """Byte q is 1 iff the q-th value orders strictly below b, else 0.
+
+        Adds exactly 1 to the tally per value.
+        """
+        flags = bytes(map(lt, values, repeat(b)))
+        self.comparisons += len(flags)
+        return flags
+
+
+def _less_each_by_less(self: CountingComparator, values: Iterable[Element], b: Element) -> bytes:
+    """less_each through the subclass's own less, one call per value in order."""
+    return bytes(map(self.less, values, repeat(b)))
 
 
 class Rng:

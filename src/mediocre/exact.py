@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import compress
 
 from .core import CountingComparator, Element, Rng
 
@@ -21,6 +22,17 @@ from .core import CountingComparator, Element, Rng
 # the cheapest: of 10, 12, 16, 20, 24, 32 and 48, 10 gave the lowest tally on
 # every shape measured.
 _FR_SMALL = 10
+# Floyd-Rivest splits the elements outside its window with one batch query
+# when there are at least this many, and with one less call each below that,
+# where building the batch's two sides costs more than the calls save.
+# Minimum time per call at the median, two sweeps of 61 in-process rounds:
+# batching every split was 21-23% slower at 16 elements and 20-21% at 64,
+# and this floor 12-13% faster than none at 16637.  A floor of 32 was 3-8%
+# slower at 64 elements; 64, 128 and 256 lay within 3% of one another at
+# every size and on a2lv at n = 20000, and 64 was fastest at 16637 in both.
+_FR_BATCH = 64
+# Swaps the 0 and 1 bytes of a batch's answer, selecting the other side.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _check_k(buffer: Sequence[Element], k: int) -> None:
@@ -242,13 +254,19 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
         wlo = max(lo, t - loc * window // size - slack)
         whi = min(hi, t + (size - loc) * window // size + slack)
         pivot = _fr_smallest(arr, wlo, whi, t, cmp)
-        low_out: list = []
-        high_out: list = []
-        for v in arr[lo:wlo] + arr[whi + 1 : hi + 1]:
-            if less(v, pivot):
-                low_out.append(v)
-            else:
-                high_out.append(v)
+        outside = arr[lo:wlo] + arr[whi + 1 : hi + 1]
+        if len(outside) >= _FR_BATCH:
+            flags = cmp.less_each(outside, pivot)
+            low_out = list(compress(outside, flags))
+            high_out = list(compress(outside, flags.translate(_FLIP)))
+        else:
+            low_out = []
+            high_out = []
+            for v in outside:
+                if less(v, pivot):
+                    low_out.append(v)
+                else:
+                    high_out.append(v)
         p = lo + len(low_out) + t - wlo
         arr[lo : hi + 1] = low_out + arr[wlo : whi + 1] + high_out
         if p == t:

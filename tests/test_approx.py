@@ -362,6 +362,21 @@ class TestInstrumentationSoundness:
             assert run(keys, opaque).value == run(inst, plain), name
             assert opaque.comparisons == opaque.calls == plain.comparisons > 0, name
 
+    def test_tally_equals_invocations_in_batched_splits(self):
+        # At (2000, 700, 700) Floyd-Rivest's outer splits, including those of
+        # a2's sample selection, reach the batch floor
+        runs = {
+            "floyd-rivest": lambda inst, c: select_floyd_rivest(inst.elements[:1401], 701, c, Rng(5)),
+            "a2_once": lambda inst, c: a2_once(inst, c, Rng(3)).element,
+            "a2lv": lambda inst, c: a2_las_vegas(inst, c, Rng(4)).element,
+        }
+        inst = generate_instance(2000, 700, 700, seed=15)
+        keys = Instance(700, 700, tuple(map(Key, inst.elements)))
+        for name, run in runs.items():
+            plain, opaque = CountingComparator(), KeyComparator()
+            assert run(keys, opaque).value == run(inst, plain), name
+            assert opaque.comparisons == opaque.calls == plain.comparisons > 0, name
+
 
 class TestCertificates:
     """Every answer is certified by the comparisons made: in the transitive

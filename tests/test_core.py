@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mediocre import A2Params, InstanceConstants, SelectionOutcome, core
@@ -296,7 +296,65 @@ class TestIsMediocre:
             assert is_mediocre(x, inst) == (larger >= i and smaller >= j)
 
 
+class PairComparator(CountingComparator):
+    """Records each question as an (a, b) pair, in the order asked."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = []
+
+    def less(self, a, b):
+        self.pairs.append((a, b))
+        return super().less(a, b)
+
+
+class InheritingComparator(PairComparator):
+    """Defines neither less nor less_each."""
+
+    __slots__ = ()
+
+
+class BatchComparator(PairComparator):
+    """Defines both methods; its less_each answers without asking its less."""
+
+    __slots__ = ()
+
+    def less(self, a, b):
+        return super().less(a, b)
+
+    def less_each(self, values, b):
+        return b"own"
+
+
+# small values, so lists hold duplicates and b often equals a member
+batches = given(st.lists(st.integers(-3, 3), max_size=30), st.integers(-3, 3))
+
+
 class TestCountingComparator:
+    @batches
+    @example([], 0)
+    def test_less_each_answers_every_value_and_counts_each(self, values, b):
+        cmp = CountingComparator()
+        cmp.less(0, 1)
+        assert cmp.less_each(values, b) == bytes(v < b for v in values)
+        assert cmp.comparisons == 1 + len(values)
+
+    @batches
+    @example([], 0)
+    @pytest.mark.parametrize("cls", [PairComparator, InheritingComparator])
+    def test_a_subclass_with_its_own_less_answers_batches_through_it(self, cls, values, b):
+        cmp = cls()
+        assert cmp.less_each(values, b) == bytes(v < b for v in values)
+        assert cmp.pairs == [(v, b) for v in values]
+        assert cmp.comparisons == len(values)
+
+    def test_a_subclass_defining_less_each_keeps_it(self):
+        cmp = BatchComparator()
+        assert cmp.less_each([1, 2], 3) == b"own"
+        assert cmp.pairs == [] and cmp.comparisons == 0
+
     def test_tally_counts_each_invocation(self):
         cmp = CountingComparator()
         assert cmp.comparisons == 0

@@ -360,6 +360,7 @@ class TestInstrumentationSoundness:
             lambda c: select_tournament(inst.elements, 77, c),
             lambda c: select_floyd_rivest(inst.elements, 250, c, Rng(1)),
         ):
-            cmp = AuditComparator()
-            run(cmp)
+            cmp, plain = AuditComparator(), CountingComparator()
+            assert run(cmp) == run(plain)
             assert cmp.comparisons == cmp.calls > 0
+            assert plain.comparisons == cmp.comparisons
