@@ -22,15 +22,17 @@ from .core import CountingComparator, Element, Rng
 # the cheapest: of 10, 12, 16, 20, 24, 32 and 48, 10 gave the lowest tally on
 # every shape measured.
 _FR_SMALL = 10
-# Floyd-Rivest splits the elements outside its window with one batch query
-# when there are at least this many, and with one less call each below that,
-# where building the batch's two sides costs more than the calls save.
-# Minimum time per call at the median, two sweeps of 61 in-process rounds:
-# batching every split was 21-23% slower at 16 elements and 20-21% at 64,
-# and this floor 12-13% faster than none at 16637.  A floor of 32 was 3-8%
-# slower at 64 elements; 64, 128 and 256 lay within 3% of one another at
-# every size and on a2lv at n = 20000, and 64 was fastest at 16637 in both.
-_FR_BATCH = 64
+# _split classifies at least this many values with one batch query, and
+# fewer with one less call each, where building the batch's two sides costs
+# more than the calls save.  Floyd-Rivest, minimum time per call at the
+# median over two sweeps of 61 in-process rounds: batching every split was
+# 20-23% slower at 16 and 64 elements; this floor, the fastest at 16637, was
+# 12-13% faster than none there.  128 and 256 lay within 3% of it at every
+# size and on a2lv, and 32 was 3-8% slower at 64.  Median-of-medians gains
+# nothing from it: select_mom at the median took 16.1 -> 17.3 ms at
+# P = 19000 and 2.68 -> 2.73 ms at P = 2000 against one less call each
+# (faster in 11 and 13 of 31 rounds).
+_BATCH = 64
 # Swaps the 0 and 1 bytes of a batch's answer, selecting the other side.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -61,6 +63,25 @@ def _insertion_sort_range(arr: list, lo: int, hi: int, cmp: CountingComparator) 
             arr[pos] = arr[pos - 1]
             pos -= 1
         arr[pos] = v
+
+
+def _split(values: list, pivot: Element, cmp: CountingComparator) -> tuple[list, list]:
+    """The values strictly below pivot and the rest, each side in input order.
+
+    One tally per value: one less_each batch from _BATCH values on, one less
+    call each below that.
+    """
+    if len(values) >= _BATCH:
+        flags = cmp.less_each(values, pivot)
+        return list(compress(values, flags)), list(compress(values, flags.translate(_FLIP)))
+    less = cmp.less
+    below, rest = [], []
+    for v in values:
+        if less(v, pivot):
+            below.append(v)
+        else:
+            rest.append(v)
+    return below, rest
 
 
 def _group_fives(vals: list, cmp: CountingComparator) -> list[tuple]:
@@ -104,7 +125,6 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     is a set, the call adds to it every value it placed below its answer,
     and perhaps the answer's own value, which a caller tells apart with ==.
     """
-    less = cmp.less
     while True:
         n = len(vals)
         if n <= 5:
@@ -136,13 +156,11 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
             else:
                 above += (median, hi0, hi1)
                 unsettled += (lo0, lo1)
-        for v in unsettled:
-            if v == pivot:
-                eq += 1
-            elif less(v, pivot):
-                below.append(v)
-            else:
-                above.append(v)
+        copies = unsettled.count(pivot)  # set aside for free: == asks the comparator nothing
+        eq += copies
+        low, high = _split([v for v in unsettled if v != pivot] if copies else unsettled, pivot, cmp)
+        below += low
+        above += high
         nb = len(below)
         if t >= nb and lower is not None:
             lower.update(below)
@@ -242,7 +260,6 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
     resolved <= it and everything right >= it (duplicates of a value are
     interchangeable).
     """
-    less = cmp.less
     while True:
         size = hi - lo + 1
         if size <= _FR_SMALL:
@@ -254,19 +271,7 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
         wlo = max(lo, t - loc * window // size - slack)
         whi = min(hi, t + (size - loc) * window // size + slack)
         pivot = _fr_smallest(arr, wlo, whi, t, cmp)
-        outside = arr[lo:wlo] + arr[whi + 1 : hi + 1]
-        if len(outside) >= _FR_BATCH:
-            flags = cmp.less_each(outside, pivot)
-            low_out = list(compress(outside, flags))
-            high_out = list(compress(outside, flags.translate(_FLIP)))
-        else:
-            low_out = []
-            high_out = []
-            for v in outside:
-                if less(v, pivot):
-                    low_out.append(v)
-                else:
-                    high_out.append(v)
+        low_out, high_out = _split(arr[lo:wlo] + arr[whi + 1 : hi + 1], pivot, cmp)
         p = lo + len(low_out) + t - wlo
         arr[lo : hi + 1] = low_out + arr[wlo : whi + 1] + high_out
         if p == t:

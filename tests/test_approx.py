@@ -90,6 +90,21 @@ class KeyComparator(CountingComparator):
         return super().less(a.value, b.value)
 
 
+class ReversedOrder:
+    """A mixin whose less reverses the order."""
+
+    __slots__ = ()
+
+    def less(self, a, b):
+        return super().less(b, a)
+
+
+class MixinComparator(ReversedOrder, CountingComparator):
+    """Gets its less from the mixin, not from its own class body."""
+
+    __slots__ = ()
+
+
 def staged(exact, cmp):
     """Selector wrapper capturing the tally consumed before pool selection."""
     cell = []
@@ -364,9 +379,11 @@ class TestInstrumentationSoundness:
 
     def test_tally_equals_invocations_in_batched_splits(self):
         # At (2000, 700, 700) Floyd-Rivest's outer splits, including those of
-        # a2's sample selection, reach the batch floor
+        # a2's sample selection, reach the batch floor, and so does
+        # median-of-medians' first partition of 1401 elements
         runs = {
             "floyd-rivest": lambda inst, c: select_floyd_rivest(inst.elements[:1401], 701, c, Rng(5)),
+            "mom-median-of-medians": lambda inst, c: select_mom(inst.elements[:1401], 701, c),
             "a2_once": lambda inst, c: a2_once(inst, c, Rng(3)).element,
             "a2lv": lambda inst, c: a2_las_vegas(inst, c, Rng(4)).element,
         }
@@ -465,3 +482,17 @@ class TestA2LasVegas:
         inst = generate_instance(80, 18, 18, seed=1)
         with pytest.raises(RuntimeError, match="consecutive"):
             a2_las_vegas(inst, CountingComparator(), Rng(1))
+
+
+class TestMixinOrder:
+    """A comparator whose less comes from a mixin answers every question."""
+
+    def test_floyd_rivest_takes_the_largest_in_that_order(self):
+        assert select_floyd_rivest(list(range(500)), 1, MixinComparator(), Rng(1)) == 0
+
+    def test_a2lv_returns_an_element_mediocre_in_that_order(self):
+        for seed in range(10):
+            inst = generate_instance(2000, 100, 1200, seed=seed)
+            x = a2_las_vegas(inst, MixinComparator(), Rng(seed)).element
+            below = sum(e > x for e in inst.elements)  # below x in the reversed order
+            assert inst.j <= below <= inst.n - 1 - inst.i, seed

@@ -328,6 +328,26 @@ class BatchComparator(PairComparator):
         return b"own"
 
 
+class ReversedOrder:
+    """A mixin whose less reverses the order and records each question."""
+
+    __slots__ = ()
+
+    def less(self, a, b):
+        self.pairs.append((a, b))
+        return super().less(b, a)
+
+
+class MixinComparator(ReversedOrder, CountingComparator):
+    """Gets its less from the mixin, not from its own class body."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = []
+
+
 # small values, so lists hold duplicates and b often equals a member
 batches = given(st.lists(st.integers(-3, 3), max_size=30), st.integers(-3, 3))
 
@@ -349,6 +369,14 @@ class TestCountingComparator:
         assert cmp.less_each(values, b) == bytes(v < b for v in values)
         assert cmp.pairs == [(v, b) for v in values]
         assert cmp.comparisons == len(values)
+
+    @batches
+    @example([], 0)
+    def test_a_less_from_a_mixin_answers_batches(self, values, b):
+        cmp = MixinComparator()
+        assert cmp.less_each(values, b) == bytes(v > b for v in values)
+        assert cmp.pairs == [(v, b) for v in values]
+        assert cmp.comparisons == len(cmp.pairs) == len(values)
 
     def test_a_subclass_defining_less_each_keeps_it(self):
         cmp = BatchComparator()

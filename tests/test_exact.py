@@ -3,16 +3,18 @@ import statistics
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
+    _BATCH,
     _FR_SMALL,
     _TOURNAMENT_BUDGET,
     _fr_smallest,
     _group_fives,
     _mom_smallest,
+    _split,
     select_by_sort,
     select_floyd_rivest,
     select_mom,
@@ -350,6 +352,23 @@ class TestFloydRivest:
             window = math.ceil(size ** (2.0 / 3.0))
             slack = math.isqrt(window) // 2 + 1
             assert window + 2 * slack + 1 < size, size
+
+
+class TestSplit:
+    @given(st.lists(st.integers(0, 6), max_size=130), st.integers(-1, 7))
+    @example(([6, 2, 4, 0, 3, 5, 1] * _BATCH)[: _BATCH - 1], 3)  # one less call each
+    @example(([6, 2, 4, 0, 3, 5, 1] * _BATCH)[:_BATCH], 3)  # one batch
+    @settings(max_examples=300)
+    def test_sides_keep_input_order_and_every_value_counts_once(self, values, pivot):
+        # values 0..6 and pivots -1..7: pivots among the values and next to them,
+        # on lists on both sides of the batch floor
+        for cmp in (CountingComparator(), AuditComparator()):
+            cmp.less(0, 1)
+            below, rest = _split(values, pivot, cmp)
+            assert below == [v for v in values if v < pivot]
+            assert rest == [v for v in values if not v < pivot]
+            assert cmp.comparisons == 1 + len(values)
+        assert cmp.calls == cmp.comparisons
 
 
 class TestInstrumentationSoundness:
