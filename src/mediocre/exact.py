@@ -14,13 +14,12 @@ from itertools import compress
 
 from .core import CountingComparator, Element, Rng
 
-# Floyd-Rivest insertion-sorts ranges of at most this size.  It cannot go
-# lower: only from size 11 on is the window, at most ceil(size^(2/3)) +
+# Floyd-Rivest hands ranges of at most this size to _select_range.  It cannot
+# go lower: only from size 11 on is the window, at most ceil(size^(2/3)) +
 # 2 * slack + 1 positions, narrower than its range, and a window spanning the
-# whole range would recurse on it forever.  Insertion sort costs about s^2/4
-# comparisons on s elements, so the smallest size the window allows is also
-# the cheapest: of 10, 12, 16, 20, 24, 32 and 48, 10 gave the lowest tally on
-# every shape measured.
+# whole range would recurse on it forever.  Of 10, 12, 16, 24, 32 and 48, 10
+# gave the lowest tally on small-sweep, and on median-lv at all but seed 1
+# (1.2042 comparisons per element there, 1.2039 at 12 and 1.2171 at 48).
 _FR_SMALL = 10
 # _split classifies at least this many values with one batch query, and
 # fewer with one less call each, where building the batch's two sides costs
@@ -53,16 +52,38 @@ def select_by_sort(buffer: Sequence[Element], k: int, cmp: CountingComparator | 
     return sorted(buffer)[len(buffer) - k]
 
 
-def _insertion_sort_range(arr: list, lo: int, hi: int, cmp: CountingComparator) -> None:
-    """Sort arr[lo..hi] ascending in place, one tally per order query."""
+def _select_range(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -> Element:
+    """Value of the (t - lo)-th smallest (0-based) of arr[lo..hi], in place.
+
+    Partial insertion keeps the shorter side of t sorted: arr[lo..t] the
+    smallest values seen, or arr[t..hi] the largest.  A later value that beats
+    arr[t] is inserted from arr[t] inward, the evicted arr[t] taking its slot.
+    On return arr[t] holds it, everything left of it <= it and right >= it.
+    """
     less = cmp.less
-    for idx in range(lo + 1, hi + 1):
-        v = arr[idx]
-        pos = idx
-        while pos > lo and less(v, arr[pos - 1]):
-            arr[pos] = arr[pos - 1]
-            pos -= 1
-        arr[pos] = v
+    if t - lo <= hi - t:
+        for idx in range(lo + 1, hi + 1):
+            v, pos = arr[idx], idx
+            if idx > t:
+                if not less(v, arr[t]):
+                    continue
+                arr[idx], pos = arr[t], t
+            while pos > lo and less(v, arr[pos - 1]):
+                arr[pos] = arr[pos - 1]
+                pos -= 1
+            arr[pos] = v
+    else:
+        for idx in range(hi - 1, lo - 1, -1):
+            v, pos = arr[idx], idx
+            if idx < t:
+                if not less(arr[t], v):
+                    continue
+                arr[idx], pos = arr[t], t
+            while pos < hi and less(arr[pos + 1], v):
+                arr[pos] = arr[pos + 1]
+                pos += 1
+            arr[pos] = v
+    return arr[t]
 
 
 def _split(values: list, pivot: Element, cmp: CountingComparator) -> tuple[list, list]:
@@ -128,7 +149,7 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     while True:
         n = len(vals)
         if n <= 5:
-            _insertion_sort_range(vals, 0, n - 1, cmp)
+            _select_range(vals, 0, n - 1, t, cmp)
             if lower is not None:
                 lower.update(vals[:t])
             return vals[t]
@@ -136,8 +157,7 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
         medians = [group[2] for group in groups]
         full = n - n % 5
         if full < n:
-            _insertion_sort_range(vals, full, n - 1, cmp)
-            medians.append(vals[full + (n - full) // 2])
+            medians.append(_select_range(vals, full, n - 1, (full + n) // 2, cmp))
         settled: set = set()
         pivot = _mom_smallest(medians, len(medians) // 2, cmp, settled)
         below: list = []
@@ -263,8 +283,7 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
     while True:
         size = hi - lo + 1
         if size <= _FR_SMALL:
-            _insertion_sort_range(arr, lo, hi, cmp)
-            return arr[t]
+            return _select_range(arr, lo, hi, t, cmp)
         window = math.ceil(size ** (2.0 / 3.0))
         slack = math.isqrt(window) // 2 + 1
         loc = t - lo + 1

@@ -141,8 +141,8 @@ class TestRun:
         ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,22,9,,"),
         ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
         ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
-        ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,237,,,false"),
-        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,372,,3,false"),
+        ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,200,,,false"),
+        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,302,,3,false"),
     ])
     def test_golden_rows(self, capsys, argv, row):
         code, out, _ = run_cli(capsys, "run", "--algo", *argv.split())
@@ -238,10 +238,10 @@ class TestBench:
     # Pinned rows: failure_rate is set on a2 only, mean_repetitions on a2lv only.
     @pytest.mark.parametrize("argv,rows", [
         ("a2 --n 120 --i 24 --j 20 --trials 40 --seed-base 17",
-         ["a2,120,24,20,40,139.0250,15.2684,175,0.0500,,17"]),
+         ["a2,120,24,20,40,117.3250,13.2766,157,0.0500,,17"]),
         ("a2lv --n 120 --i 20 --j 30 --trials 8 --seed-base 100 --baseline fr-median", [
-            "a2lv,120,20,30,8,176.0000,51.1542,306,,1.1250,100",
-            "fr-median,120,20,30,8,136.1250,27.2967,191,,,100",
+            "a2lv,120,20,30,8,149.1250,42.8148,257,,1.1250,100",
+            "fr-median,120,20,30,8,110.8750,20.3005,148,,,100",
         ]),
         ("yao --n 50 --i 5 --j 20 --trials 6 --seed-base 3", ["yao,50,5,20,6,43.8333,0.6872,45,,,3"]),
         ("hyper --g 8 --n 200 --i 3 --j 60 --trials 4 --seed-base 9", ["hyper,200,3,60,4,94.7500,0.8292,96,,,9"]),
@@ -348,19 +348,19 @@ class TestPlotData:
         (("plot-data", "--from", "0.005", "--to", "0.33", "--step", "0.005"),
          "19cb518ee69921d7c3403dd98f536fc7b8cedc5cb8cfea3ae4150e1e68cea188"),
         (tuple("bench --algo a2lv --n 2000 --i 700 --j 700 --trials 5 --baseline fr-median".split()),
-         "e788f276b014d0c315cdebe320340db51e1fb28dbc6fea6c1cbd9a8b72e65f8d"),
+         "6735f9f796bb40b3f1f91e82dc6577bc4d2cc1373891aa67608c3bcff927e955"),
         # averages 1.2 rounds per trial, so retried tallies are summed
         (tuple("bench --algo a2lv --n 80 --i 18 --j 18 --trials 10 --baseline fr-median".split()),
-         "08f8aa2737631ea570b69ef1a1c093710db42248331310a0eb764f91158d6de1"),
+         "1ad956bd9d2b73d7f902d98c5cd906b85e10051d81bbf79d582a4f6790d764f9"),
         (tuple("bench --algo a1 --n 200 --i 10 --j 179 --trials 4 --baseline fr-median".split()),
-         "66c738c164da3d486c356a392d44c3f6782d92a00f770f81e387126ad51ed730"),
+         "cb71c44c50c1c0bde456ebdc96044d39745cbe3afea39df22ca7bd686cff694a"),
         (tuple("bench --algo hyper --g 4 --n 64 --i 4 --j 20 --trials 20".split()),
          "050b994b5398c855fae3d741b6bf060446550eaaa454e4b65ba8cae107ecfb14"),
         (tuple("bench --algo a2 --n 200 --i 40 --j 40 --trials 50".split()),
-         "d6135234c6d1b7a9cc8285e20a5efb4b32b8a3f21df2147a6f5ed30be2508ba3"),
+         "df680b1251f6262508ffd57f1156e5136b7b079eed6fc42a280f5ce7e5000823"),
         # P = 1500, k = 501: the tournament's worst case is 4.67P, so median-of-medians
         (tuple("bench --algo yao --n 2000 --i 500 --j 999 --trials 3".split()),
-         "2f682109865e015d406a5df906d71f9c02e03ed3deda018a0f418048c44c236e"),
+         "6b823145311eb454f13b9c7fbe458eaa1828544b7d486d053aa669aa17e678fc"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):

@@ -14,6 +14,7 @@ from mediocre.exact import (
     _fr_smallest,
     _group_fives,
     _mom_smallest,
+    _select_range,
     _split,
     select_by_sort,
     select_floyd_rivest,
@@ -205,6 +206,62 @@ class TestGroupFives:
         groups = _group_fives([9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 12, 11], cmp)
         assert [group[2] for group in groups] == [7, 2]
         assert cmp.comparisons == 12
+
+
+def insertion_sort_tally(values):
+    """Comparisons that a plain insertion sort of values makes."""
+    arr, tally = list(values), 0
+    for idx in range(1, len(arr)):
+        v, pos = arr[idx], idx
+        while pos > 0:
+            tally += 1
+            if not v < arr[pos - 1]:
+                break
+            arr[pos] = arr[pos - 1]
+            pos -= 1
+        arr[pos] = v
+    return tally
+
+
+class TestSelectRange:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_partition_of_a_sub_range(self, data):
+        values = st.integers(0, 4)
+        before = data.draw(st.lists(values, max_size=6))
+        inside = data.draw(st.lists(values, min_size=1, max_size=12))
+        arr = before + inside + data.draw(st.lists(values, max_size=6))
+        lo, hi = len(before), len(before) + len(inside) - 1
+        t = data.draw(st.integers(lo, hi))
+        original = list(arr)
+        cmp = AuditComparator()
+        assert _select_range(arr, lo, hi, t, cmp) == arr[t] == sorted(inside)[t - lo]
+        assert all(v <= arr[t] for v in arr[lo:t])
+        assert all(arr[t] <= v for v in arr[t + 1 : hi + 1])
+        assert sorted(arr[lo : hi + 1]) == sorted(inside)
+        assert arr[:lo] == original[:lo] and arr[hi + 1 :] == original[hi + 1 :]
+        assert cmp.comparisons == cmp.calls
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_exhaustive_against_insertion_sort(self, size):
+        # one (order, t) at size 4 and one at size 6 cost one more than
+        # insertion sort, so the worst case and the mean are what is bounded
+        perms = list(permutations(range(size)))
+        worst = total = 0
+        for t in range(size):
+            for perm in perms:
+                arr = list(perm)
+                cmp = CountingComparator()
+                assert _select_range(arr, 0, size - 1, t, cmp) == arr[t] == t
+                assert sorted(arr[:t]) == list(range(t))
+                worst = max(worst, cmp.comparisons)
+                total += cmp.comparisons
+        assert worst <= size * (size - 1) // 2
+        sorting = sum(map(insertion_sort_tally, perms))
+        if size >= 3:
+            assert total < sorting * size  # means over every order and every t
+        else:
+            assert total == sorting * size
 
 
 class TestTournament:
