@@ -142,9 +142,11 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     occupy consecutive ranks, any of which yields the same answer).  The
     recursion that picks the pivot from the group medians also reports which
     medians it found below the pivot, so the partition compares only the two
-    members of each group on the side its median does not settle.  If lower
-    is a set, the call adds to it every value it placed below its answer,
-    and perhaps the answer's own value, which a caller tells apart with ==.
+    members of each group on the side its median does not settle.  The
+    n mod 5 trailing values fill no group: they skip pivot selection and go
+    straight to the partition.  If lower is a set, the call adds to it
+    every value it placed below its answer, and perhaps the answer's own
+    value, which a caller tells apart with ==.
     """
     while True:
         n = len(vals)
@@ -155,14 +157,11 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
             return vals[t]
         groups = _group_fives(vals, cmp)
         medians = [group[2] for group in groups]
-        full = n - n % 5
-        if full < n:
-            medians.append(_select_range(vals, full, n - 1, (full + n) // 2, cmp))
         settled: set = set()
         pivot = _mom_smallest(medians, len(medians) // 2, cmp, settled)
         below: list = []
         above: list = []
-        unsettled = vals[full:]
+        unsettled = vals[n - n % 5 :]
         eq = 0
         for lo0, lo1, median, hi0, hi1 in groups:
             if median == pivot:
@@ -194,11 +193,11 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
             vals = above
 
 
-# Tournament worst case allowed, in units of P.  Of the random pools with
-# P <= 200, one of the 5761 (P, k) cells within 2P cost more than mom (P = 6,
-# k = 3: 9 against 8), and 63 of the 10687 cells between 2P and 4P did, all
-# at P <= 109; that band as a whole cost 35% less.  Beyond 4P the replays
-# cost more Python time than the comparisons they save.
+# Tournament worst case allowed, in units of P: beyond 4P the replays cost
+# more Python time than the comparisons they save.  Over every k of one
+# Rng(P)-shuffled pool per P <= 200, 4 of the 5761 (P, k) cells within 2P cost
+# more than _mom_smallest, all at P <= 9 (P = 9, k = 3: 14 against 12); 191 of
+# the 10687 between 2P and 4P did, up to P = 199, and that band cost 30% less.
 _TOURNAMENT_BUDGET = 4
 
 

@@ -360,7 +360,7 @@ class TestPlotData:
          "df680b1251f6262508ffd57f1156e5136b7b079eed6fc42a280f5ce7e5000823"),
         # P = 1500, k = 501: the tournament's worst case is 4.67P, so median-of-medians
         (tuple("bench --algo yao --n 2000 --i 500 --j 999 --trials 3".split()),
-         "6b823145311eb454f13b9c7fbe458eaa1828544b7d486d053aa669aa17e678fc"),
+         "91ecdda74b01960e1be377c7f3e312d17cb9f477a39a1c8cd21d258e44c0412d"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):
@@ -476,8 +476,10 @@ class TestParserReuse:
 
 
 def test_module_entry_point_runs():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "mediocre", "lower-bound", "--i", "1", "--j", "2"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -24,18 +24,22 @@ from mediocre.exact import (
 
 
 class RecordingComparator(CountingComparator):
-    """Remembers every value it was asked about."""
+    """Remembers every question, in order, as the pair it was asked about."""
 
-    __slots__ = ("seen",)
+    __slots__ = ("pairs",)
 
     def __init__(self):
         super().__init__()
-        self.seen = set()
+        self.pairs = []
 
     def less(self, a, b):
-        self.seen.add(a)
-        self.seen.add(b)
+        self.pairs.append((a, b))
         return super().less(a, b)
+
+    @property
+    def seen(self):
+        """Every value it was asked about."""
+        return set().union(*self.pairs)
 
 
 class AuditComparator(CountingComparator):
@@ -73,8 +77,8 @@ def test_invalid_k_is_rejected(select, buffer, k):
 
 
 # At P = 69 the median's tournament worst case, 68 + 34 * 7, exceeds the
-# budget, so select_mom takes median-of-medians there (whose last, partial
-# group is sorted in place) and the tournament at k = 2.  On a tuple any
+# budget, so select_mom takes median-of-medians there (whose four trailing
+# values fill no group) and the tournament at k = 2.  On a tuple any
 # write into the buffer raises.
 @pytest.mark.parametrize("select,k", [
     (select_by_sort, 35),
@@ -162,7 +166,7 @@ class TestSelectMom:
                 mom, tour, oracle = AuditComparator(), AuditComparator(), AuditComparator()
                 assert select_mom(buf, k, mom) == select_by_sort(buf, k)
                 select_tournament(buf, k, tour)
-                _mom_smallest(list(buf), size - k, oracle)
+                assert _mom_smallest(list(buf), size - k, oracle) == select_by_sort(buf, k)
                 picks = tournament_bound(size, k) <= _TOURNAMENT_BUDGET * size
                 assert mom.calls == (tour.calls if picks else oracle.calls), (size, k)
 
@@ -184,6 +188,42 @@ class TestSelectMom:
         cmp = RecordingComparator()
         select_mom(buf, 20, cmp)
         assert cmp.seen <= set(buf)
+
+
+class TestMomSmallest:
+    # select_mom hands every pool below P = 65 to the tournament, so only
+    # these tests reach median-of-medians' small sizes from the top
+    @staticmethod
+    def check(vals, t):
+        cmp, lower = AuditComparator(), set()
+        got = _mom_smallest(list(vals), t, cmp, lower)
+        assert got == sorted(vals)[t]
+        assert {v for v in vals if v < got} <= lower <= {v for v in vals if v <= got}
+        assert cmp.comparisons == cmp.calls
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_every_order_and_rank(self, size):
+        for perm in permutations(range(size)):
+            for t in range(size):
+                self.check(perm, t)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_every_sequence_over_three_values(self, size):
+        for vals in product(range(3), repeat=size):
+            for t in range(size):
+                self.check(vals, t)
+
+    @pytest.mark.parametrize("size", [7, 8, 9, 104])
+    def test_trailing_values_meet_the_pivot_first(self, size):
+        # the n mod 5 values that fill no group are first compared with a
+        # value from a full group, never with each other
+        for seed in range(20):
+            vals = generate_instance(size, 0, 0, seed=seed).elements
+            trailing = set(vals[size - size % 5 :])
+            cmp = RecordingComparator()
+            _mom_smallest(list(vals), size // 2, cmp)
+            first = next(pair for pair in cmp.pairs if trailing.intersection(pair))
+            assert not trailing.issuperset(first), (seed, first)
 
 
 class TestGroupFives:
