@@ -13,13 +13,12 @@ instance once and runs the algorithm and then the baseline on it; the
 permutation behind it is shuffled once per process for each (n, seed) and
 shared by every later command with that n and seed (see generate_instance).
 
-The argument parser is built once per process, on the first `main` call (not
-at import), and reused: each call parses into a fresh namespace.
+The argument parser is built, and argparse imported, on the first `main` call
+(not at import) and reused: each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
@@ -77,15 +76,11 @@ def _select(
     fr-median is the baseline: yao's prefix scheme with Floyd-Rivest, the
     exact (i+1)-th largest of the first i+j+1 elements (their median at i = j).
     """
-    if g is not None and algo not in ("hyper", "fr-median"):  # a hyper bench hands g to its baseline
-        raise ValueError("--g applies only to --algo hyper")
     if algo == "yao":
         return yao_select(instance, _EXACT[exact_name], cmp)
     if algo == "a1":
         return a1_select(instance, _EXACT[exact_name], cmp)
     if algo == "hyper":
-        if g is None:
-            raise ValueError("--g is required for --algo hyper")
         return hyperpair_select(instance, g, _EXACT[exact_name], cmp)
     if algo == "a2":
         return a2_once(instance, cmp, Rng(seed ^ _ALGO_RNG_TAG))
@@ -96,7 +91,16 @@ def _select(
     return SelectionOutcome(x)
 
 
+def _check_g(args: argparse.Namespace) -> None:
+    """--g goes with --algo hyper and no other; run and bench check it before any instance."""
+    if args.algo == "hyper" and args.g is None:
+        raise ValueError("--g is required for --algo hyper")
+    if args.algo != "hyper" and args.g is not None:
+        raise ValueError("--g applies only to --algo hyper")
+
+
 def cmd_run(args: argparse.Namespace) -> tuple[int, list[str]]:
+    _check_g(args)
     instance = generate_instance(args.n, args.i, args.j, args.seed)
     cmp = CountingComparator()
     out = _select(args.algo, instance, args.g, args.exact, args.seed, cmp)
@@ -127,6 +131,7 @@ def _stats_row(algo: str, n: int, i: int, j: int, seed_base: int, results) -> st
 def cmd_bench(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.trials < 1:
         raise ValueError(f"trials >= 1 violated: trials = {args.trials}")
+    _check_g(args)
     algos = [args.algo] + (["fr-median"] if args.baseline == "fr-median" else [])
     results = {algo: [] for algo in algos}
     for seed in range(args.seed_base, args.seed_base + args.trials):
@@ -151,6 +156,7 @@ def cmd_plot_data(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at module level, so importing the CLI stays cheap
     parser = argparse.ArgumentParser(
         prog="mediocre",
         description="Comparison-counted selection: cost tables, single runs, benchmarks.",
@@ -194,10 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; its CSV lines reach stdout only once it has returned.
-
-    The parser is built on the first call in a process and reused after.
-    """
+    """Run one command; its CSV lines reach stdout only once it has returned."""
     args = _build_parser().parse_args(argv)
     try:
         status, lines = args.func(args)
@@ -206,7 +209,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print("\n".join(lines))
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -250,13 +250,18 @@ def generate_instance(n: int, i: int, j: int, seed: int) -> Instance:
     median-lv passes ran about 8% faster in-process).  The cache is one per
     process and locked for threads.  Equal (n, seed) share one elements
     tuple, each call returns its own Instance, and the permutation, distinct
-    by construction, skips Instance's distinctness scan.
+    by construction, skips Instance's distinctness scan.  An n whose
+    permutation the process cannot hold raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n >= 1 violated: n = {n}")
     _check_shape(n, i, j)
+    try:
+        elements = _permutation(n, seed)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"n = {n} is too large: its permutation does not fit in memory") from None
     instance = Instance.__new__(Instance)
-    instance.i, instance.j, instance.elements, instance.n = i, j, _permutation(n, seed), n
+    instance.i, instance.j, instance.elements, instance.n = i, j, elements, n
     return instance
 
 

@@ -1,0 +1,116 @@
+"""Test doubles shared by the suite.
+
+- RecordingComparator logs every question with its answer; pairs, edges,
+  seen, calls and implied are read from that log.
+- ReversedOrder is a mixin that reverses the order, and MixinComparator a
+  recorder that gets its less from it.
+- staged wraps a pool selector to note the tally spent before it runs.
+- run_cli runs one command in process and returns its exit code and output.
+"""
+
+from mediocre.cli import main
+from mediocre.core import CountingComparator
+
+
+class RecordingComparator(CountingComparator):
+    """Logs each question, in the order asked, as (a, b, answer)."""
+
+    __slots__ = ("log",)
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def less(self, a, b):
+        answer = super().less(a, b)
+        self.log.append((a, b, answer))
+        return answer
+
+    @property
+    def pairs(self):
+        """Each question as the (a, b) it asked about."""
+        return [(a, b) for a, b, _ in self.log]
+
+    @property
+    def edges(self):
+        """Each answer as a (lower, higher) edge."""
+        return [(a, b) if answer else (b, a) for a, b, answer in self.log]
+
+    @property
+    def seen(self):
+        """Every element the comparator was asked about."""
+        return {v for a, b, _ in self.log for v in (a, b)}
+
+    @property
+    def calls(self):
+        """How many times less was invoked, counted apart from the tally."""
+        return len(self.log)
+
+    @property
+    def implied(self):
+        """How many questions the answers before them already settle by transitivity.
+
+        Each element seen gets a bit; down[x] and up[x] are the bitmasks of
+        the elements known at or below x and at or above x.
+        """
+        index, down, up, implied = {}, [], [], 0
+        for lower, higher in self.edges:
+            for v in (lower, higher):
+                if v not in index:
+                    index[v] = len(down)
+                    down.append(1 << index[v])
+                    up.append(1 << index[v])
+            lo, hi = index[lower], index[higher]
+            if down[hi] >> lo & 1:
+                implied += 1
+                continue
+            below, above = down[lo], up[hi]
+            for x in _members(above):
+                down[x] |= below
+            for x in _members(below):
+                up[x] |= above
+        return implied
+
+
+def _members(mask):
+    """The positions of the set bits of mask."""
+    return [k for k, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+class ReversedOrder:
+    """A mixin whose less reverses the order of the less after it.
+
+    It asks that less the same question, so a recorder after it logs the
+    question as asked (with the answer in the original order).
+    """
+
+    __slots__ = ()
+
+    def less(self, a, b):
+        below = super().less(a, b)
+        return not below and a != b
+
+
+class MixinComparator(ReversedOrder, RecordingComparator):
+    """Gets its less from the mixin, not from its own class body."""
+
+    __slots__ = ()
+
+
+def staged(exact, cmp):
+    """Selector wrapper capturing the tally consumed before pool selection."""
+    cell = []
+
+    def wrapped(buffer, k, c):
+        if not cell:
+            cell.append(cmp.comparisons)
+        return exact(buffer, k, c)
+
+    return wrapped, cell
+
+
+def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process CLI command."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

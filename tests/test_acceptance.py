@@ -24,7 +24,6 @@ from mediocre.approx import (
     hyperpair_select,
     yao_select,
 )
-from mediocre.cli import main
 from mediocre.core import (
     CountingComparator,
     Instance,
@@ -41,18 +40,13 @@ from mediocre.exact import (
     select_tournament,
 )
 
+from doubles import run_cli, staged
+
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {num:02d} {name}: {status} {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _cli(capsys, *argv) -> list[str]:
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    assert code == 0, argv
-    return out.splitlines()
 
 
 # Reference rows: alpha, l, g(alpha, l), g(alpha, l+1), f(alpha).
@@ -138,7 +132,9 @@ TOL = 1e-4
 
 def test_criterion_01_f_table_fidelity(capsys):
     t0 = time.perf_counter()
-    lines = _cli(capsys, "table", "--which", "f")
+    code, out, _ = run_cli(capsys, "table", "--which", "f")
+    assert code == 0
+    lines = out.splitlines()
     assert lines[0] == "alpha,l,g_l,g_l1,f"
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 33
@@ -157,7 +153,9 @@ def test_criterion_01_f_table_fidelity(capsys):
 
 def test_criterion_02_constants_fidelity(capsys):
     t0 = time.perf_counter()
-    lines = _cli(capsys, "table", "--which", "constants")
+    code, out, _ = run_cli(capsys, "table", "--which", "constants")
+    assert code == 0
+    lines = out.splitlines()
     assert lines[0] == "alpha,c_a1,c_yao"
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 33
@@ -261,21 +259,11 @@ def test_criterion_05_count_identities():
     t0 = time.perf_counter()
     bad = []
 
-    def staged(cmp):
-        cell = []
-
-        def wrapped(buffer, k, c):
-            if not cell:
-                cell.append(cmp.comparisons)
-            return select_by_sort(buffer, k, c)
-
-        return wrapped, cell
-
     # pairing comparisons are exactly i + floor((j+1)/2)
     for n, i, j in [(16, 2, 9), (100, 10, 60), (999, 40, 700), (4096, 300, 3000), (4096, 0, 4095)]:
         inst = generate_instance(n, i, j, seed=n + i)
         cmp = CountingComparator()
-        wrapped, cell = staged(cmp)
+        wrapped, cell = staged(select_by_sort, cmp)
         out = a1_select(inst, wrapped, cmp)
         if not cell[0] == out.stage_comparisons == i + (j + 1) // 2:
             bad.append(("a1", n, i, j, cell[0], out.stage_comparisons))
@@ -285,7 +273,7 @@ def test_criterion_05_count_identities():
         m = i + -(-(j + 1) // g)
         inst = generate_instance(n, i, j, seed=g * n)
         cmp = CountingComparator()
-        wrapped, cell = staged(cmp)
+        wrapped, cell = staged(select_by_sort, cmp)
         out = hyperpair_select(inst, g, wrapped, cmp)
         if not cell[0] == out.stage_comparisons == m * (g - 1):
             bad.append(("hyper", g, n, i, j, cell[0], out.stage_comparisons))
@@ -470,10 +458,8 @@ def test_criterion_10_reproducibility(capsys):
     ]
     bad = []
     for argv in command_lines:
-        code_a = main(list(argv))
-        out_a = capsys.readouterr().out
-        code_b = main(list(argv))
-        out_b = capsys.readouterr().out
+        code_a, out_a, _ = run_cli(capsys, *argv)
+        code_b, out_b, _ = run_cli(capsys, *argv)
         if out_a != out_b or code_a != code_b:
             bad.append(argv)
     # and across processes

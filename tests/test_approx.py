@@ -27,25 +27,7 @@ from mediocre.core import (
 )
 from mediocre.exact import select_by_sort, select_floyd_rivest, select_mom, select_tournament
 
-
-class RecordingComparator(CountingComparator):
-    """Records each answer as a (lower, higher) edge."""
-
-    __slots__ = ("edges",)
-
-    def __init__(self):
-        super().__init__()
-        self.edges = []
-
-    def less(self, a, b):
-        answer = super().less(a, b)
-        self.edges.append((a, b) if answer else (b, a))
-        return answer
-
-    @property
-    def seen(self):
-        """Every element the comparator was asked about."""
-        return {v for edge in self.edges for v in edge}
+from doubles import MixinComparator, RecordingComparator, staged
 
 
 def certificate(x, edges):
@@ -88,33 +70,6 @@ class KeyComparator(CountingComparator):
     def less(self, a, b):
         self.calls += 1
         return super().less(a.value, b.value)
-
-
-class ReversedOrder:
-    """A mixin whose less reverses the order."""
-
-    __slots__ = ()
-
-    def less(self, a, b):
-        return super().less(b, a)
-
-
-class MixinComparator(ReversedOrder, CountingComparator):
-    """Gets its less from the mixin, not from its own class body."""
-
-    __slots__ = ()
-
-
-def staged(exact, cmp):
-    """Selector wrapper capturing the tally consumed before pool selection."""
-    cell = []
-
-    def wrapped(buffer, k, c):
-        if not cell:
-            cell.append(cmp.comparisons)
-        return exact(buffer, k, c)
-
-    return wrapped, cell
 
 
 class TestYao:

@@ -15,13 +15,9 @@ from mediocre.cli import main
 from mediocre.core import CountingComparator, Rng, is_mediocre
 from mediocre.exact import select_floyd_rivest
 
+from doubles import run_cli
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def csv_records(out):
@@ -126,6 +122,24 @@ class TestRun:
             assert code == 2
             assert out == ""
             assert "--g applies only to --algo hyper" in err
+
+    @pytest.mark.parametrize("algo,g,message", [
+        ("hyper", None, "--g is required for --algo hyper"),
+        ("yao", "4", "--g applies only to --algo hyper"),
+    ], ids=["hyper-without-g", "yao-with-g"])
+    def test_group_size_rule_is_checked_before_any_instance(self, capsys, monkeypatch, algo, g, message):
+        def no_instance(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(cli, "generate_instance", no_instance)
+        g_args = () if g is None else ("--g", g)
+        for command, count in (("run", "--seed"), ("bench", "--trials")):
+            code, out, err = run_cli(
+                capsys, command, "--algo", algo, *g_args, "--n", "3000000", "--i", "1", "--j", "1", count, "1"
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
 
     def test_parameter_error_names_inequality(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "yao", "--n", "3", "--i", "2", "--j", "2", "--seed", "1")
@@ -382,6 +396,36 @@ def test_reproduce_tables_script_matches_cli(capsys, tmp_path):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert (tmp_path / name).read_text() == out
+
+
+def test_an_n_too_large_to_build_exits_2(capsys):
+    # range(10**20) has more elements than a list can index
+    code, out, err = run_cli(
+        capsys, "bench", "--algo", "a2lv", "--n", str(10**20), "--i", "10", "--j", "10", "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"n = {10**20}" in err
+
+
+def test_an_n_beyond_the_memory_limit_exits_2():
+    pytest.importorskip("resource")
+    # the child caps its own address space at 1.5 GB, then runs `python -m mediocre`
+    code = (
+        "import resource, runpy, sys; limit = 1_500_000 * 1024; "
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+        "sys.argv[1:] = 'run --algo yao --n 1000000000 --i 0 --j 0 --seed 1'.split(); "
+        "runpy.run_module('mediocre', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "n = 1000000000" in proc.stderr
 
 
 @given(

@@ -23,6 +23,8 @@ from mediocre.core import (
     rank_of,
 )
 
+from doubles import MixinComparator, RecordingComparator
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 ROOT = Path(__file__).resolve().parent.parent
@@ -296,27 +298,13 @@ class TestIsMediocre:
             assert is_mediocre(x, inst) == (larger >= i and smaller >= j)
 
 
-class PairComparator(CountingComparator):
-    """Records each question as an (a, b) pair, in the order asked."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self):
-        super().__init__()
-        self.pairs = []
-
-    def less(self, a, b):
-        self.pairs.append((a, b))
-        return super().less(a, b)
-
-
-class InheritingComparator(PairComparator):
+class InheritingComparator(RecordingComparator):
     """Defines neither less nor less_each."""
 
     __slots__ = ()
 
 
-class BatchComparator(PairComparator):
+class BatchComparator(RecordingComparator):
     """Defines both methods; its less_each answers without asking its less."""
 
     __slots__ = ()
@@ -326,26 +314,6 @@ class BatchComparator(PairComparator):
 
     def less_each(self, values, b):
         return b"own"
-
-
-class ReversedOrder:
-    """A mixin whose less reverses the order and records each question."""
-
-    __slots__ = ()
-
-    def less(self, a, b):
-        self.pairs.append((a, b))
-        return super().less(b, a)
-
-
-class MixinComparator(ReversedOrder, CountingComparator):
-    """Gets its less from the mixin, not from its own class body."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self):
-        super().__init__()
-        self.pairs = []
 
 
 # small values, so lists hold duplicates and b often equals a member
@@ -363,7 +331,7 @@ class TestCountingComparator:
 
     @batches
     @example([], 0)
-    @pytest.mark.parametrize("cls", [PairComparator, InheritingComparator])
+    @pytest.mark.parametrize("cls", [RecordingComparator, InheritingComparator])
     def test_a_subclass_with_its_own_less_answers_batches_through_it(self, cls, values, b):
         cmp = cls()
         assert cmp.less_each(values, b) == bytes(v < b for v in values)
