@@ -89,6 +89,12 @@ def a1_select(instance: Instance, exact: ExactSelector, cmp: CountingComparator)
     return grouped_select(instance, 2, 2 * i + j + 1, exact, cmp)
 
 
+def _check_group_size(g: int) -> None:
+    """Hyperpair's rule for its group size, which the CLI also checks before any instance."""
+    if g < 2 or g & (g - 1):
+        raise ValueError(f"group size must be a power of 2 >= 2, got {g}")
+
+
 def hyperpair_select(
     instance: Instance, group_size: int, exact: ExactSelector, cmp: CountingComparator
 ) -> SelectionOutcome:
@@ -100,8 +106,7 @@ def hyperpair_select(
     this reproduces the pairing scheme exactly.  Out-of-range parameters raise;
     there is deliberately no silent fallback here.
     """
-    if group_size < 2 or group_size & (group_size - 1):
-        raise ValueError(f"group size must be a power of 2 >= 2, got {group_size}")
+    _check_group_size(group_size)
     n = instance.n
     pool = instance.i + -(-(instance.j + 1) // group_size)
     if group_size * pool > n:

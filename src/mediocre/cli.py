@@ -23,7 +23,7 @@ import functools
 import math
 import sys
 
-from .approx import a1_select, a2_las_vegas, a2_once, hyperpair_select, yao_select
+from .approx import _check_group_size, a1_select, a2_las_vegas, a2_once, hyperpair_select, yao_select
 from .core import CountingComparator, Instance, Rng, SelectionOutcome, generate_instance, rank_of
 from .costmodel import TABLES, curve, lower_bound, tables
 from .exact import select_by_sort, select_floyd_rivest, select_mom
@@ -97,6 +97,8 @@ def _check_g(args: argparse.Namespace) -> None:
         raise ValueError("--g is required for --algo hyper")
     if args.algo != "hyper" and args.g is not None:
         raise ValueError("--g applies only to --algo hyper")
+    if args.g is not None:
+        _check_group_size(args.g)
 
 
 def cmd_run(args: argparse.Namespace) -> tuple[int, list[str]]:

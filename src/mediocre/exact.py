@@ -105,34 +105,47 @@ def _split(values: list, pivot: Element, cmp: CountingComparator) -> tuple[list,
     return below, rest
 
 
-def _group_fives(vals: list, cmp: CountingComparator) -> list[tuple]:
-    """Each full group of five as (low, low, median, high, high), 6 comparisons each.
+def _fives(groups, less, vee: bool = False, lam: bool = False) -> list[tuple]:
+    """Each group (a, b, c, d, e) as (low, low, median, high, high).
 
     Knuth's procedure (TAOCP vol. 3, 5.3.3): order two pairs, drop the lower
     end of the pair with the smaller low, pair the fifth element with the
     survivor and repeat; the median is the smaller of the two remaining
-    candidates.  In each tuple the lows are <= the median <= the highs.
-    Trailing elements that fill no group are left out.
+    candidates: 6 comparisons.  A carried V (x, m, u, w, y) with x, y <= m or
+    lambda (h, u, h', w, m) with m <= h, h' skips what that settles: 4 or 5.
     """
-    less = cmp.less
-    groups = []
-    for a, b, c, d, e in zip(*[iter(vals)] * 5):
-        if less(b, a):
+    out = []
+    for a, b, c, d, e in groups:
+        low1 = not vee and less(b, a)
+        if low1:
             a, b = b, a
-        if less(d, c):
+        low2 = less(d, c)
+        if low2:
             c, d = d, c
-        if less(c, a):
+        swapped = less(c, a)
+        if swapped:
             a, b, c, d = c, d, a, b
-        # a <= b, c, d: a is one of the two lowest; b takes the fifth's place
-        if less(e, b):
+        # a <= b, c, d: a is one of the two lowest; b takes the fifth's place.
+        # A lambda's m is below b (an h or above one), a V's y below b = m
+        # if the pairs kept their places.
+        if lam or vee and not swapped or less(e, b):
             b, e = e, b
-        if less(c, b):
+        # a lambda's m = b is below c too, unless u and w were both pair lows
+        if (not lam or low1 and low2) and less(c, b):
             b, c, d, e = c, b, e, d
+            known = lam or vee and swapped  # c is a lambda's m, or e a V's m
+        else:
+            known = False
         # b <= c, d, e: b is the other low; the median is min(c, e)
-        if less(e, c):
+        if not known and less(e, c):
             c, e = e, c
-        groups.append((a, b, c, d, e))
-    return groups
+        out.append((a, b, c, d, e))
+    return out
+
+
+def _group_fives(vals: list, cmp: CountingComparator) -> list[tuple]:
+    """Each full group of five consecutive values by _fives, 6 comparisons each; the rest is left out."""
+    return _fives(zip(*[iter(vals)] * 5), cmp.less)
 
 
 def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None = None) -> Element:
@@ -142,26 +155,38 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     occupy consecutive ranks, any of which yields the same answer).  The
     recursion that picks the pivot from the group medians also reports which
     medians it found below the pivot, so the partition compares only the two
-    members of each group on the side its median does not settle.  The
-    n mod 5 trailing values fill no group: they skip pivot selection and go
-    straight to the partition.  If lower is a set, the call adds to it
-    every value it placed below its answer, and perhaps the answer's own
-    value, which a caller tells apart with ==.
+    members of each group on the side its median does not settle; the other
+    three go on as a triple that the next round groups with two fresh values.
+    Values left over form fresh groups, whose n mod 5 trailing values skip
+    pivot selection and go straight to the partition.  If lower is a set, the
+    call adds to it every value it placed below its answer, and perhaps the
+    answer's own value, which a caller tells apart with ==.
     """
+    upper, carried = False, []  # flat triples: V (x, m, y) below, lambda (h, h', m) if upper
     while True:
-        n = len(vals)
+        n = len(vals) + len(carried)
         if n <= 5:
+            vals += carried
             _select_range(vals, 0, n - 1, t, cmp)
             if lower is not None:
                 lower.update(vals[:t])
             return vals[t]
-        groups = _group_fives(vals, cmp)
+        groups = []
+        if carried:
+            # each triple takes two values from the end: (x, m, u, w, y) or (h, u, h', w, m)
+            paired = min(len(carried) // 3, len(vals) // 2)
+            cut = len(vals) - 2 * paired
+            old, new = iter(carried), iter(vals[cut:])
+            groups = zip(old, new, old, new, old) if upper else zip(old, old, new, new, old)
+            groups = _fives(groups, cmp.less, not upper, upper)
+            del vals[cut:]
+            vals += carried[3 * paired :]
+        groups += _group_fives(vals, cmp)
         medians = [group[2] for group in groups]
         settled: set = set()
         pivot = _mom_smallest(medians, len(medians) // 2, cmp, settled)
-        below: list = []
-        above: list = []
-        unsettled = vals[n - n % 5 :]
+        below, above, lows, highs = [], [], [], []  # lows, highs: each side's triples
+        unsettled = vals[len(vals) - len(vals) % 5 :]
         eq = 0
         for lo0, lo1, median, hi0, hi1 in groups:
             if median == pivot:
@@ -170,27 +195,28 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
                 below += [v for v in (lo0, lo1) if v != pivot]
                 above += [v for v in (hi0, hi1) if v != pivot]
             elif median in settled:
-                below += (lo0, lo1, median)
+                lows += (lo0, median, lo1)
                 unsettled += (hi0, hi1)
             else:
-                above += (median, hi0, hi1)
+                highs += (hi0, hi1, median)
                 unsettled += (lo0, lo1)
         copies = unsettled.count(pivot)  # set aside for free: == asks the comparator nothing
         eq += copies
         low, high = _split([v for v in unsettled if v != pivot] if copies else unsettled, pivot, cmp)
         below += low
         above += high
-        nb = len(below)
+        nb = len(below) + len(lows)
         if t >= nb and lower is not None:
             lower.update(below)
+            lower.update(lows)
             lower.add(pivot)
         if t < nb:
-            vals = below
+            vals, carried, upper = below, lows, False
         elif t < nb + eq:
             return pivot
         else:
             t -= nb + eq
-            vals = above
+            vals, carried, upper = above, highs, True
 
 
 # Tournament worst case allowed, in units of P: beyond 4P the replays cost

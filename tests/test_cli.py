@@ -126,7 +126,8 @@ class TestRun:
     @pytest.mark.parametrize("algo,g,message", [
         ("hyper", None, "--g is required for --algo hyper"),
         ("yao", "4", "--g applies only to --algo hyper"),
-    ], ids=["hyper-without-g", "yao-with-g"])
+        ("hyper", "3", "group size must be a power of 2 >= 2, got 3"),
+    ], ids=["hyper-without-g", "yao-with-g", "hyper-g-not-a-power-of-two"])
     def test_group_size_rule_is_checked_before_any_instance(self, capsys, monkeypatch, algo, g, message):
         def no_instance(*args):
             raise AssertionError("an instance was built")
@@ -374,7 +375,7 @@ class TestPlotData:
          "df680b1251f6262508ffd57f1156e5136b7b079eed6fc42a280f5ce7e5000823"),
         # P = 1500, k = 501: the tournament's worst case is 4.67P, so median-of-medians
         (tuple("bench --algo yao --n 2000 --i 500 --j 999 --trials 3".split()),
-         "91ecdda74b01960e1be377c7f3e312d17cb9f477a39a1c8cd21d258e44c0412d"),
+         "0fbf5e9f975ee63f00be744749a3cd3dc8898b1c67e7737a280b698d8bd01a33"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):
