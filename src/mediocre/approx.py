@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from itertools import compress
 
 from .core import CountingComparator, Element, Instance, Rng, SelectionOutcome, _check_shape
+from .costmodel import a2_round
 from .exact import _fr_smallest
 
 ExactSelector = Callable[[Sequence[Element], int, CountingComparator], Element]
@@ -135,10 +137,38 @@ def a2_params(i: int, j: int, n: int) -> A2Params:
     return A2Params(m=m, r=r, k=k)
 
 
-def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionOutcome:
+@lru_cache(maxsize=256)
+def a2lv_params(i: int, j: int, n: int) -> A2Params:
+    """The round parameters with the least modelled Las Vegas cost, E[round] / (1 - p).
+
+    Raises where a2_params raises.  The candidates are a2's own parameters
+    and, for each slack c = 0.2, 0.3, ..., 2.0, m = i + j + c(i+j)^(3/4) and
+    r = m^(3/4) rounded half-up, with k within 3 of r(j + m - i) / (2m), the
+    centre between the two guards; so m never exceeds a2's.  The model is
+    costmodel.a2_round.
+    """
+    paper = a2_params(i, j, n)
+    candidates = [paper]
+    for tenths in range(2, 21):
+        m = _round_half_up(i + j + tenths / 10 * (i + j) ** 0.75)
+        r = _round_half_up(m**0.75)
+        centre = _round_half_up(r * (j + m - i) / (2 * m))
+        candidates += [A2Params(m, r, k) for k in range(max(1, centre - 3), min(r, centre + 3) + 1)]
+
+    def lv_cost(params: A2Params) -> float:
+        cost, p = a2_round(i, j, *params)
+        return cost / (1.0 - p) if p < 1.0 else math.inf
+
+    return min(candidates, key=lv_cost)
+
+
+def a2_once(
+    instance: Instance, cmp: CountingComparator, rng: Rng, params: A2Params | None = None
+) -> SelectionOutcome:
     """One Monte Carlo round: sample, select the k-th smallest, verify.
 
-    Draws r indices from the first m elements uniformly with replacement,
+    Uses params (m, r, k) when given, else the paper's, a2_params.  Draws r
+    indices from the first m elements uniformly with replacement,
     selects the k-th smallest of the sampled multiset, then checks the
     candidate against every working-set element: it is returned only if at
     least i elements are larger and at least j smaller, otherwise the outcome
@@ -150,7 +180,7 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
     the candidate, so only never-sampled elements are compared afterwards,
     in one batch.
     """
-    m, r, k = a2_params(instance.i, instance.j, instance.n)
+    m, r, k = params or a2_params(instance.i, instance.j, instance.n)
     elements = instance.elements
     idxs = rng.sample_with_replacement(m, r)
     sample = [elements[q] for q in idxs]
@@ -174,13 +204,17 @@ def a2_once(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionO
 def a2_las_vegas(instance: Instance, cmp: CountingComparator, rng: Rng) -> SelectionOutcome:
     """Repeat the Monte Carlo round with fresh samples until it succeeds.
 
-    The returned outcome is never failed; the comparator's tally covers every
-    repetition.  The repetition cap, _LAS_VEGAS_CAP, only guards against
-    implementation bugs: with the failure probability bounded well below 1/2,
-    reaching it honestly is astronomically unlikely.
+    Every round runs at a2lv_params, chosen for the expected cost of the
+    whole loop.  The returned outcome is never failed; the comparator's tally
+    covers every repetition.  The repetition cap, _LAS_VEGAS_CAP, only guards
+    against implementation bugs: a round's modelled failure probability is at
+    most 0.21 (at i, j = 14, 3, over every i + j <= 200; a grid of larger
+    shapes stays below 0.07), so reaching it honestly is astronomically
+    unlikely.
     """
+    params = a2lv_params(instance.i, instance.j, instance.n)
     for rep in range(1, _LAS_VEGAS_CAP + 1):
-        out = a2_once(instance, cmp, rng)
+        out = a2_once(instance, cmp, rng, params)
         if not out.failed:
             return SelectionOutcome(out.element, failed=False, repetitions=rep)
     raise RuntimeError(

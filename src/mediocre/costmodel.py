@@ -76,14 +76,58 @@ def instance_constants(alpha: float) -> InstanceConstants:
     return InstanceConstants(alpha=alpha, c_a1=c_a1, c_yao=c_yao, c_a4=c_a4, c_yao4=c_yao4)
 
 
-def lower_bound(i: int, j: int) -> int:
-    """ceil(log2((i+j+1)! / (i! j!))) in exact integer arithmetic.
+def _upper_tail(r: int, q: float, k: int) -> float:
+    """P[Bin(r, q) >= k] for 1 <= k <= r, with k not far below the mean r*q.
 
-    The ratio equals (j+1) * C(i+j+1, i), an exact integer, and
-    ceil(log2(N)) of a positive integer is (N-1).bit_length(), so the result
-    is exact at every power-of-two boundary for any magnitude.
+    The boundary term comes from math.lgamma; the sum runs outward from it
+    until the terms fall below 1e-16, where they vanish against 1 - p.
+    """
+    if q == 0.0:
+        return 0.0
+    term = math.exp(
+        math.lgamma(r + 1) - math.lgamma(k + 1) - math.lgamma(r - k + 1)
+        + k * math.log(q) + (r - k) * math.log1p(-q)
+    )
+    odds, above, x = q / (1.0 - q), r - k, k + 1
+    total = 0.0
+    while term >= 1e-16:
+        total += term
+        term *= odds * above / x
+        above -= 1
+        x += 1
+    return total
+
+
+def a2_round(i: int, j: int, m: int, r: int, k: int) -> tuple[float, float]:
+    """Expected comparisons of one a2 round with parameters (m, r, k), and its failure probability p.
+
+    Selecting the k-th smallest of the r draws costs r + min(k-1, r-k) at its
+    average-case floor, and verification compares the m(1 - 1/m)^r expected
+    never-sampled elements.  The round fails when at least k draws fall among
+    the working set's j lowest, or at least r - k + 1 among its i highest:
+    p = P[Bin(r, j/m) >= k] + P[Bin(r, i/m) >= r-k+1], exact for draws with
+    replacement.  The Las Vegas wrapper pays cost / (1 - p) on average.
+    """
+    cost = r + min(k - 1, r - k) + m * (1.0 - 1.0 / m) ** r
+    return cost, _upper_tail(r, j / m, k) + _upper_tail(r, i / m, r - k + 1)
+
+
+def lower_bound(i: int, j: int) -> int:
+    """ceil(log2((i+j+1)! / (i! j!))), exactly.
+
+    The ratio N equals (j+1) * C(i+j+1, i), an integer, and ceil(log2 N) is
+    (N-1).bit_length().  That integer is the specification, but it has about
+    i + j bits, so it is built only when log2 N, estimated with math.lgamma,
+    lies within the estimate's error bound of an integer.  The bound allows
+    each lgamma value a relative error of 2^-40, thousands of times the few
+    ulps it has, so outside it the ceiling of the estimate is exact.
     """
     _check_shape(i + j + 1, i, j)
+    if i + j + 2 <= 2**53:  # every float argument below is exact
+        whole, low, high = math.lgamma(i + j + 2), math.lgamma(i + 1), math.lgamma(j + 2)
+        estimate = math.log2(j + 1) + (whole - low - high) / math.log(2)
+        if abs(estimate - round(estimate)) > 2**-40 * (whole + low + high + estimate + 1):
+            return math.ceil(estimate)
     ratio = (j + 1) * math.comb(i + j + 1, i)
     return (ratio - 1).bit_length()
 

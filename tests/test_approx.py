@@ -1,7 +1,12 @@
 import math
+import os
 import re
+import statistics
+import subprocess
+import sys
 from collections import defaultdict
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +19,7 @@ from mediocre.approx import (
     a2_las_vegas,
     a2_once,
     a2_params,
+    a2lv_params,
     hyperpair_select,
     yao_select,
 )
@@ -25,6 +31,7 @@ from mediocre.core import (
     is_mediocre,
     rank_of,
 )
+from mediocre.costmodel import a2_round
 from mediocre.exact import select_by_sort, select_floyd_rivest, select_mom, select_tournament
 
 from doubles import MixinComparator, RecordingComparator, staged
@@ -256,6 +263,71 @@ class TestA2Params:
                 assert math.ceil(half_root) <= k <= r - math.floor(half_root), (s, j)
 
 
+class TestA2lvParams:
+    def test_median_lv_shape(self):
+        # a smaller working set than a2's (19566, 1654, 773), at p = 0.0097
+        assert a2lv_params(8318, 8318, 20000) == A2Params(m=17808, r=1542, k=771)
+
+    @given(st.integers(0, 3000), st.integers(0, 3000), st.integers(1, 8000))
+    @example(8, 8, 32)
+    @example(8, 8, 31)
+    @example(0, 16, 10**6)
+    @example(16, 0, 10**6)
+    @settings(max_examples=150, deadline=None)
+    def test_domain_bounds_and_modelled_cost(self, i, j, n):
+        try:
+            paper = a2_params(i, j, n)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                a2lv_params(i, j, n)
+            return
+        m, r, k = chosen = a2lv_params(i, j, n)
+        assert i + j + 1 <= m <= paper.m <= n
+        assert 1 <= k <= r
+        cost, p = a2_round(i, j, *chosen)
+        paper_cost, paper_p = a2_round(i, j, *paper)
+        assert cost / (1 - p) <= paper_cost / (1 - paper_p)
+
+    def test_fresh_import_builds_nothing(self):
+        code = "import mediocre, mediocre.cli; print(mediocre.approx.a2lv_params.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "0\n"
+
+
+class TestRoundModel:
+    """costmodel.a2_round against measured rounds at a2lv's parameters.
+
+    The sampler's stream is seeded seed XOR 2^63, as in `bench`: seeded with
+    the instance's own seed it is correlated with the shuffle, and the failure
+    rate read 0.018 against 0.0245 over 4000 seeds.
+    """
+
+    def test_failure_rate_within_three_sigma(self):
+        n, i, j, seeds = 2000, 701, 701, 400
+        params = a2lv_params(i, j, n)
+        _, p = a2_round(i, j, *params)
+        failures = 0
+        for seed in range(seeds):
+            inst = generate_instance(n, i, j, seed=seed)
+            failures += a2_once(inst, CountingComparator(), Rng(seed ^ 1 << 63), params).failed
+        assert abs(failures / seeds - p) <= 3 * math.sqrt(p * (1 - p) / seeds)
+
+    def test_las_vegas_excess_falls_with_n(self):
+        # the model prices sample selection at its floor, so the measured excess
+        # is selection's lower-order term, which shrinks relative to n
+        ratios = []
+        for n, i, seeds in ((2000, 701, 400), (20000, 8318, 100)):
+            cost, p = a2_round(i, i, *a2lv_params(i, i, n))
+            tallies = []
+            for seed in range(seeds):
+                cmp = CountingComparator()
+                a2_las_vegas(generate_instance(n, i, i, seed=seed), cmp, Rng(seed ^ 1 << 63))
+                tallies.append(cmp.comparisons)
+            ratios.append(statistics.mean(tallies) / (cost / (1 - p)))
+        assert 1 < ratios[1] < ratios[0]
+
+
 class TestA2Once:
     def test_deterministic_given_seed(self):
         inst = generate_instance(200, 40, 40, seed=12)
@@ -409,9 +481,9 @@ class TestA2LasVegas:
         once = approx.a2_once
         tallies = []
 
-        def recorded(instance, cmp, rng):
+        def recorded(instance, cmp, rng, params=None):
             start = cmp.comparisons
-            out = once(instance, cmp, rng)
+            out = once(instance, cmp, rng, params)
             tallies.append(cmp.comparisons - start)
             return out
 
@@ -430,7 +502,7 @@ class TestA2LasVegas:
         assert retried  # some seed needs a second round, so the sum spans rounds
 
     def test_repetition_cap_raises(self, monkeypatch):
-        def always_fail(instance, cmp, rng):
+        def always_fail(instance, cmp, rng, params=None):
             return approx.SelectionOutcome(element=0, failed=True)
 
         monkeypatch.setattr(approx, "a2_once", always_fail)

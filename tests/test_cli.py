@@ -157,7 +157,7 @@ class TestRun:
         ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
         ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
         ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,200,,,false"),
-        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,30,30,true,302,,3,false"),
+        ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,49,49,true,84,,1,false"),
     ])
     def test_golden_rows(self, capsys, argv, row):
         code, out, _ = run_cli(capsys, "run", "--algo", *argv.split())
@@ -255,7 +255,7 @@ class TestBench:
         ("a2 --n 120 --i 24 --j 20 --trials 40 --seed-base 17",
          ["a2,120,24,20,40,117.3250,13.2766,157,0.0500,,17"]),
         ("a2lv --n 120 --i 20 --j 30 --trials 8 --seed-base 100 --baseline fr-median", [
-            "a2lv,120,20,30,8,149.1250,42.8148,257,,1.1250,100",
+            "a2lv,120,20,30,8,124.2500,32.0225,202,,1.1250,100",
             "fr-median,120,20,30,8,110.8750,20.3005,148,,,100",
         ]),
         ("yao --n 50 --i 5 --j 20 --trials 6 --seed-base 3", ["yao,50,5,20,6,43.8333,0.6872,45,,,3"]),
@@ -363,10 +363,11 @@ class TestPlotData:
         (("plot-data", "--from", "0.005", "--to", "0.33", "--step", "0.005"),
          "19cb518ee69921d7c3403dd98f536fc7b8cedc5cb8cfea3ae4150e1e68cea188"),
         (tuple("bench --algo a2lv --n 2000 --i 700 --j 700 --trials 5 --baseline fr-median".split()),
-         "6735f9f796bb40b3f1f91e82dc6577bc4d2cc1373891aa67608c3bcff927e955"),
-        # averages 1.2 rounds per trial, so retried tallies are summed
+         "f1b21d776e95e0ba45d9f0bd22d774b50919a90dcb8be865c792dc7321707953"),
+        # one round per trial at a2lv's parameters (1.2 at a2's); TestBench's
+        # 120/20/30 row is the pinned bench whose tallies sum retried rounds
         (tuple("bench --algo a2lv --n 80 --i 18 --j 18 --trials 10 --baseline fr-median".split()),
-         "1ad956bd9d2b73d7f902d98c5cd906b85e10051d81bbf79d582a4f6790d764f9"),
+         "850f8c82540a25ef41301e24fde7bf7a32ae600aa25c8fcb0f520e939cd0a6dc"),
         (tuple("bench --algo a1 --n 200 --i 10 --j 179 --trials 4 --baseline fr-median".split()),
          "cb71c44c50c1c0bde456ebdc96044d39745cbe3afea39df22ca7bd686cff694a"),
         (tuple("bench --algo hyper --g 4 --n 64 --i 4 --j 20 --trials 20".split()),

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediocre.costmodel import (
+    a2_round,
     curve,
     f,
     g,
@@ -156,6 +158,53 @@ class TestLowerBound:
 
     def test_huge_arguments_stay_exact(self):
         assert lower_bound(10_000, 10_000) > 0
+
+    def test_estimate_matches_the_exact_formula(self):
+        for i in range(301):
+            for j in range(301):
+                assert lower_bound(i, j) == exact_lower_bound(i, j), (i, j)
+
+    def test_powers_of_two_take_the_exact_path(self):
+        # at i = 0 the ratio is j + 1, so log2 is an integer and the estimate
+        # alone cannot decide the ceiling
+        for e in range(53):
+            for j in (2**e - 2, 2**e - 1, 2**e):
+                if j >= 0:
+                    assert lower_bound(0, j) == exact_lower_bound(0, j), j
+
+    @given(st.integers(0, 50_000), st.integers(0, 50_000))
+    @settings(max_examples=60, deadline=None)
+    def test_large_arguments_match_the_exact_formula(self, i, j):
+        assert lower_bound(i, j) == exact_lower_bound(i, j)
+
+
+def exact_lower_bound(i, j):
+    return ((j + 1) * math.comb(i + j + 1, i) - 1).bit_length()
+
+
+def binomial_tail(r, q, k):
+    """P[Bin(r, q) >= k], in exact rationals."""
+    return sum(math.comb(r, x) * q**x * (1 - q) ** (r - x) for x in range(k, r + 1))
+
+
+class TestA2Round:
+    def test_cost_and_failure_probability_at_a2s_smallest_shape(self):
+        # a2_params(8, 8, 1000) = (32, 13, 6)
+        cost, p = a2_round(8, 8, 32, 13, 6)
+        assert cost == pytest.approx(13 + 5 + 32 * (31 / 32) ** 13, rel=1e-15)
+        exact = binomial_tail(13, Fraction(8, 32), 6) + binomial_tail(13, Fraction(8, 32), 8)
+        assert p == pytest.approx(float(exact), rel=1e-13)
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 30), st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_failure_probability_is_the_exact_binomial_sum(self, i, j, slack, r):
+        m = i + j + slack
+        for k in range(1, r + 1):
+            # k not far below either mean, as a2's parameters keep it
+            if k < r * j / m - 3 or r - k + 1 < r * i / m - 3:
+                continue
+            exact = binomial_tail(r, Fraction(j, m), k) + binomial_tail(r, Fraction(i, m), r - k + 1)
+            assert a2_round(i, j, m, r, k)[1] == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
 
 
 class TestTables:
