@@ -158,15 +158,16 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     members of each group on the side its median does not settle; the other
     three go on as a triple that the next round groups with two fresh values.
     Values left over form fresh groups, whose n mod 5 trailing values skip
-    pivot selection and go straight to the partition.  If lower is a set, the
-    call adds to it every value it placed below its answer, and perhaps the
-    answer's own value, which a caller tells apart with ==.
+    pivot selection and go straight to the partition.  A partition leaves the
+    answer near an end of the side kept, so from then on each round first
+    asks whether select_mom would pick the tournament at the size and rank
+    left, and if so finishes with it.  If lower is a set, the call adds to it
+    every value it placed below its answer, and perhaps the answer's own
+    value, which a caller tells apart with ==.
     """
-    upper, carried = False, []  # flat triples: V (x, m, y) below, lambda (h, h', m) if upper
+    upper, carried, n = False, [], len(vals)  # flat triples: V (x, m, y) below, lambda (h, h', m) if upper
     while True:
-        n = len(vals) + len(carried)
-        if n <= 5:
-            vals += carried
+        if n <= 5:  # a first round only: later ones at n <= 5 fit the tournament
             _select_range(vals, 0, n - 1, t, cmp)
             if lower is not None:
                 lower.update(vals[:t])
@@ -217,14 +218,24 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
         else:
             t -= nb + eq
             vals, carried, upper = above, highs, True
+        n = len(vals) + len(carried)
+        if _tournament_fits(n, min(t + 1, n - t)):
+            return select_tournament(vals + carried, n - t, cmp, lower)
 
 
 # Tournament worst case allowed, in units of P: beyond 4P the replays cost
 # more Python time than the comparisons they save.  Over every k of one
 # Rng(P)-shuffled pool per P <= 200, 4 of the 5761 (P, k) cells within 2P cost
-# more than _mom_smallest, all at P <= 9 (P = 9, k = 3: 14 against 12); 191 of
-# the 10687 between 2P and 4P did, up to P = 199, and that band cost 30% less.
+# more than _mom_smallest, all at P <= 9 (P = 9, k = 3: 14 against 12); 1901 of
+# the 10687 between 2P and 4P did, up to P = 200, and that band cost 20% less.
+# Inside _mom_smallest, 3, 5 and 6 raised skew-det's tally at
+# seeds 1-3 (seed 1: 2.004, 2.013 and 2.049 against 1.997 per element).
 _TOURNAMENT_BUDGET = 4
+
+
+def _tournament_fits(size: int, rank: int) -> bool:
+    """Whether select_tournament's worst case at k' = rank is at most _TOURNAMENT_BUDGET * size."""
+    return size - 1 + (rank - 1) * (size - 1).bit_length() <= _TOURNAMENT_BUDGET * size
 
 
 def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> Element:
@@ -237,13 +248,12 @@ def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> El
     budget, so select_tournament rejects it.
     """
     size = len(buffer)
-    rank = min(k, size - k + 1)
-    if size - 1 + (rank - 1) * (size - 1).bit_length() <= _TOURNAMENT_BUDGET * size:
+    if _tournament_fits(size, min(k, size - k + 1)):
         return select_tournament(buffer, k, cmp)
     return _mom_smallest(list(buffer), size - k, cmp)
 
 
-def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> Element:
+def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator, lower: set | None = None) -> Element:
     """k-th largest by one knockout tournament and k' - 1 replays.
 
     k' = min(k, P - k + 1) on P = len(buffer) elements: a max-tournament
@@ -254,18 +264,22 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
     At k' = 1 a plain scan finds the same element, so no bracket is built.
     Costs at most P - 1 + (k' - 1) * ceil(log2 P) comparisons; for k = 2
     that is Kislitsyn's P - 2 + ceil(log2 P), exact when P is a power of two.
+    If lower is a set, the call adds to it, as _mom_smallest does, the values
+    it placed at or below its answer: a max-tournament every value but the
+    k' - 1 champions it took out, a min-tournament those champions.
     """
     _check_k(buffer, k)
     size = len(buffer)
     rank = min(k, size - k + 1)
     less = cmp.less
-    # before(x, y): x is knocked out by y
-    before = less if rank == k else (lambda x, y: less(y, x))
+    flip = rank != k  # a min-tournament: x is knocked out by y if less(y, x)
     if rank == 1:
         best = buffer[0]
         for v in buffer[1:]:
-            if before(best, v):
+            if less(v, best) if flip else less(best, v):
                 best = v
+        if lower is not None and not flip:
+            lower.update(buffer)
         return best
     level = list(range(size))
     levels = [level]
@@ -273,7 +287,7 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
         winners = []
         it = iter(level)
         for a, b in zip(it, it):
-            winners.append(b if before(buffer[a], buffer[b]) else a)
+            winners.append(b if (less(buffer[b], buffer[a]) if flip else less(buffer[a], buffer[b])) else a)
         if len(level) & 1:
             winners.append(level[-1])
         levels.append(winners)
@@ -286,10 +300,12 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
             sib = pos ^ 1
             if sib < len(below):
                 s = below[sib]
-                if w < 0 or (s >= 0 and before(buffer[w], buffer[s])):
+                if w < 0 or s >= 0 and (less(buffer[s], buffer[w]) if flip else less(buffer[w], buffer[s])):
                     w = s
             pos >>= 1
             above[pos] = w
+    if lower is not None:
+        lower.update(buffer[p] for p, leaf in enumerate(levels[0]) if (leaf < 0) == flip)
     return buffer[levels[-1][0]]
 
 

@@ -4,6 +4,8 @@
   seen, calls and implied are read from that log.
 - ReversedOrder is a mixin that reverses the order, and MixinComparator a
   recorder that gets its less from it.
+- AdversaryComparator answers from a script of answers, and
+  adversary_worst_case walks a selector's decision tree with it.
 - staged wraps a pool selector to note the tally spent before it runs.
 - run_cli runs one command in process and returns its exit code and output.
 """
@@ -75,6 +77,63 @@ class RecordingComparator(CountingComparator):
 def _members(mask):
     """The positions of the set bits of mask."""
     return [k for k, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+class AdversaryComparator(CountingComparator):
+    """Answers questions about the values 0..n-1 from a script of answers.
+
+    A question that earlier answers settle by transitivity gets that answer.
+    Any other takes the script's next answer, False once it runs out, and
+    the answer is noted in free.  down[x] is the bitmask of the values known
+    at or below x.
+    """
+
+    __slots__ = ("script", "free", "down")
+
+    def __init__(self, n, script):
+        super().__init__()
+        self.script, self.free = script, []
+        self.down = [1 << v for v in range(n)]
+
+    def less(self, a, b):
+        self.comparisons += 1
+        down = self.down
+        if down[a] >> b & 1:  # b <= a already, or b is a
+            return False
+        if down[b] >> a & 1:
+            return True
+        answer = self.script[len(self.free)] if len(self.free) < len(self.script) else False
+        self.free.append(answer)
+        lo, hi = (a, b) if answer else (b, a)
+        below = down[lo]
+        for x, known in enumerate(down):
+            if known >> hi & 1:
+                down[x] = known | below
+        return answer
+
+
+def adversary_worst_case(select, n, t):
+    """The most comparisons select(values, t, cmp) makes over every order of n distinct values.
+
+    Walks select's decision tree depth first, one run per leaf: each run
+    replays the free answers of the last with its last False turned True,
+    and runs on with False.  Every order reaches a leaf and every leaf some
+    order.  Each leaf's answer must be the t-th smallest (0-based) by the
+    answers given: t values known below it and n - t - 1 above.
+    """
+    script, most = [], 0
+    while True:
+        cmp = AdversaryComparator(n, script)
+        got = select(list(range(n)), t, cmp)
+        above = sum(known >> got & 1 for known in cmp.down)
+        assert (cmp.down[got].bit_count(), above) == (t + 1, n - t), (n, t, script)
+        most = max(most, cmp.comparisons)
+        free = cmp.free
+        while free and free[-1]:
+            free.pop()
+        if not free:
+            return most
+        script = free[:-1] + [True]
 
 
 class ReversedOrder:

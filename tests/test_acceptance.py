@@ -333,7 +333,7 @@ def test_criterion_06_a2_safety_and_failure_bound():
     for seed in range(1000):
         inst = generate_instance(n, i, j, seed=seed)
         cmp = CountingComparator()
-        out = a2_once(inst, cmp, Rng(seed))
+        out = a2_once(inst, cmp, Rng(seed ^ 1 << 63))
         if out.failed:
             failures += 1
         elif not is_mediocre(out.element, inst):
@@ -356,7 +356,7 @@ def test_criterion_07_average_comparison_gap():
     for seed in range(100):
         inst = generate_instance(n, i, j, seed=seed)
         cmp = CountingComparator()
-        a2_las_vegas(inst, cmp, Rng(seed))
+        a2_las_vegas(inst, cmp, Rng(seed ^ 1 << 63))
         lv_counts.append(cmp.comparisons)
     fr_counts = []
     for seed in range(100):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mediocre import exact
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
     _BATCH,
@@ -23,7 +24,7 @@ from mediocre.exact import (
     select_tournament,
 )
 
-from doubles import RecordingComparator
+from doubles import RecordingComparator, adversary_worst_case
 
 
 def tournament_bound(size, k):
@@ -104,8 +105,9 @@ class TestSelectMom:
 
     def test_tally_ceiling_at_1e5(self):
         # loose worst-case ceiling on every input; the median costs about
-        # 5.2n on each of these: a pass spends 6 comparisons per group of
-        # five on its median and 2 per group to partition, 1.6 per element
+        # 2.63n on each of these: the first pass spends up to 6 comparisons
+        # per group of five on its median and 2 per group to partition, and
+        # the knockout tournament finishes the rank it leaves near an end
         n = 100_000
         random = generate_instance(n, 0, 0, seed=17).elements
         ascending = list(range(n))
@@ -152,6 +154,25 @@ class TestSelectMom:
             assert select_mom(buf, k, mom) == select_tournament(buf, k, tour) == size - k
             assert mom.comparisons == tour.comparisons <= bound
 
+    @pytest.mark.parametrize("size,worst", enumerate([0, 1, 3, 4, 8, 9, 12, 13, 20], 1))
+    def test_worst_case_over_every_order(self, size, worst):
+        # every pool of these sizes takes the tournament
+        def select(vals, t, cmp):
+            return select_mom(vals, size - t, cmp)
+
+        assert max(adversary_worst_case(select, size, t) for t in range(size)) == worst
+
+    def test_median_and_quartiles_at_2e4(self):
+        # 4.45-4.55n on each before median-of-medians finished with the tournament
+        n = 20_000
+        ascending = list(range(n))
+        organ_pipe = list(range(0, n, 2)) + list(range(n - 1, 0, -2))
+        for buf in (generate_instance(n, 0, 0, seed=17).elements, ascending, ascending[::-1], organ_pipe):
+            for k, most in ((n // 2 + 1, 2.75), (n // 4, 3.4), (3 * n // 4, 3.4)):
+                cmp = CountingComparator()
+                assert select_mom(buf, k, cmp) == select_by_sort(buf, k)
+                assert cmp.comparisons <= most * n
+
     def test_never_touches_outside_buffer(self):
         inst = generate_instance(200, 0, 0, seed=4)
         buf = inst.elements[:50]
@@ -197,6 +218,36 @@ class TestMomSmallest:
             for t in {0, 1, size // 4, size // 2 - 1, size // 2, size - 2, size - 1, rng.below(size)}:
                 self.check(vals, t)
 
+    def test_the_tournament_finishes_and_fills_lower(self, monkeypatch):
+        # after a partition, from either end, with and without copies, the
+        # tournament's share of lower keeps its contract
+        kinds = set()
+
+        def spy(buffer, k, cmp, lower):
+            size = len(buffer)
+            rank = min(k, size - k + 1)
+            assert tournament_bound(size, k) <= _TOURNAMENT_BUDGET * size
+            got = select_tournament(buffer, k, cmp, lower)
+            assert {v for v in buffer if v < got} <= lower
+            assert all(v <= got for v in lower)
+            kinds.add((rank == k, rank == 1))
+            return got
+
+        monkeypatch.setattr(exact, "select_tournament", spy)
+        rng = Rng(2029)
+        for case in range(300):
+            size = 6 + rng.below(95)
+            vals = [rng.below(2 + case % 4) for _ in range(size)] if case % 2 else list(range(size))
+            rng.shuffle(vals)
+            for t in {0, 1, size // 4, size // 2, size - 2, size - 1, rng.below(size)}:
+                self.check(vals, t)
+        assert kinds == set(product((True, False), repeat=2))
+
+    @pytest.mark.parametrize("size,worst", enumerate([0, 1, 3, 5, 9, 10, 12, 17, 19], 1))
+    def test_worst_case_over_every_order(self, size, worst):
+        # 13, 18 and 20 at sizes 7 to 9 before the tournament finished
+        assert max(adversary_worst_case(_mom_smallest, size, t) for t in range(size)) == worst
+
     @pytest.mark.parametrize("size", [7, 8, 9, 104])
     def test_trailing_values_meet_the_pivot_first(self, size):
         # the n mod 5 values that fill no group are first compared with a
@@ -221,9 +272,10 @@ class TestImpliedQuestions:
         assert cmp.implied == 2
 
     def test_median_of_medians_asks_no_more_implied_questions(self):
-        # the median of 20 shuffled pools of P = 400: 2757 of its 29754
+        # the median of 20 shuffled pools of P = 400: 1867 of its 20914
         # questions were implied by earlier answers when these bounds were set
-        # (5692 of 33386 before settled triples were carried into the next round)
+        # (2757 of 29754 before the tournament finished once it fit, 5692 of
+        # 33386 before settled triples were carried into the next round)
         questions = implied = 0
         for seed in range(1, 21):
             pool = list(range(400))
@@ -232,8 +284,8 @@ class TestImpliedQuestions:
             assert _mom_smallest(pool, 199, cmp) == 199
             questions += cmp.comparisons
             implied += cmp.implied
-        assert questions <= 29754
-        assert implied <= 2757
+        assert questions <= 20914
+        assert implied <= 1867
 
 
 class TestGroupFives:
@@ -416,6 +468,30 @@ class TestTournament:
             cmp = RecordingComparator()
             select_tournament(buf, k, cmp)
             assert cmp.seen <= set(buf)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_lower_holds_the_values_at_or_below_the_answer(self, size):
+        # every order and every sequence over three values; a max-tournament
+        # reports all but its champions, a min-tournament its champions, and
+        # the k' = 1 scans at k = 1 and k = P take out none
+        for vals in [*permutations(range(size)), *product(range(3), repeat=size)]:
+            for k in range(1, size + 1):
+                plain, cmp, lower = RecordingComparator(), RecordingComparator(), set()
+                got = select_tournament(vals, k, cmp, lower)
+                assert got == select_tournament(vals, k, plain) == select_by_sort(vals, k)
+                assert cmp.log == plain.log
+                assert {v for v in vals if v < got} <= lower <= {v for v in vals if v <= got}
+
+    def test_a_min_tournament_asks_the_mirrored_questions(self):
+        # the questions of the max-tournament on the negated values, each
+        # asked the other way round
+        for size, seed in product((2, 7, 64, 301), range(3)):
+            vals = list(range(size))
+            Rng(seed).shuffle(vals)
+            for rank in {1, min(2, size // 2), size // 2}:
+                low, high = RecordingComparator(), RecordingComparator()
+                assert select_tournament(vals, size - rank + 1, low) == -select_tournament([-v for v in vals], rank, high)
+                assert low.log == [(-b, -a, answer) for a, b, answer in high.log]
 
 
 class TestFloydRivest:
