@@ -159,19 +159,14 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     three go on as a triple that the next round groups with two fresh values.
     Values left over form fresh groups, whose n mod 5 trailing values skip
     pivot selection and go straight to the partition.  A partition leaves the
-    answer near an end of the side kept, so from then on each round first
-    asks whether select_mom would pick the tournament at the size and rank
-    left, and if so finishes with it.  If lower is a set, the call adds to it
-    every value it placed below its answer, and perhaps the answer's own
-    value, which a caller tells apart with ==.
+    answer near an end of the side kept, so the loop then asks whether
+    select_mom would pick the tournament at the size and rank left, and if so
+    ends in it; so do at most 4 values, too few for a round.  If lower is a
+    set, the call adds to it every value it placed below its answer, and
+    perhaps the answer's own value, which a caller tells apart with ==.
     """
     upper, carried, n = False, [], len(vals)  # flat triples: V (x, m, y) below, lambda (h, h', m) if upper
-    while True:
-        if n <= 5:  # a first round only: later ones at n <= 5 fit the tournament
-            _select_range(vals, 0, n - 1, t, cmp)
-            if lower is not None:
-                lower.update(vals[:t])
-            return vals[t]
+    while n > 4:
         groups = []
         if carried:
             # each triple takes two values from the end: (x, m, u, w, y) or (h, u, h', w, m)
@@ -219,8 +214,9 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
             t -= nb + eq
             vals, carried, upper = above, highs, True
         n = len(vals) + len(carried)
-        if _tournament_fits(n, min(t + 1, n - t)):
-            return select_tournament(vals + carried, n - t, cmp, lower)
+        if _tournament_fits(n, n - t):
+            break
+    return select_tournament(vals + carried, n - t, cmp, lower)
 
 
 # Tournament worst case allowed, in units of P: beyond 4P the replays cost
@@ -233,24 +229,23 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
 _TOURNAMENT_BUDGET = 4
 
 
-def _tournament_fits(size: int, rank: int) -> bool:
-    """Whether select_tournament's worst case at k' = rank is at most _TOURNAMENT_BUDGET * size."""
+def _tournament_fits(size: int, k: int) -> bool:
+    """Whether select_tournament's worst case at the k-th largest of size values is at most _TOURNAMENT_BUDGET * size."""
+    rank = min(k, size - k + 1)
     return size - 1 + (rank - 1) * (size - 1).bit_length() <= _TOURNAMENT_BUDGET * size
 
 
 def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> Element:
     """k-th largest, deterministic and worst-case linear.
 
-    A knockout tournament when its worst case on P = len(buffer) elements,
-    P - 1 + (k' - 1) * ceil(log2 P) with k' = min(k, P - k + 1), is at most
-    _TOURNAMENT_BUDGET * P; median-of-medians otherwise.  The choice reads
-    only (P, k), never the data.  A k outside 1..P gives k' <= 0, within the
-    budget, so select_tournament rejects it.
+    A knockout tournament when _tournament_fits the P = len(buffer)
+    elements at k; median-of-medians otherwise.  The choice reads only
+    (P, k), never the data.  A k outside 1..P fits, so select_tournament
+    rejects it.
     """
-    size = len(buffer)
-    if _tournament_fits(size, min(k, size - k + 1)):
+    if _tournament_fits(len(buffer), k):
         return select_tournament(buffer, k, cmp)
-    return _mom_smallest(list(buffer), size - k, cmp)
+    return _mom_smallest(list(buffer), len(buffer) - k, cmp)
 
 
 def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator, lower: set | None = None) -> Element:
@@ -321,10 +316,7 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
     resolved <= it and everything right >= it (duplicates of a value are
     interchangeable).
     """
-    while True:
-        size = hi - lo + 1
-        if size <= _FR_SMALL:
-            return _select_range(arr, lo, hi, t, cmp)
+    while (size := hi - lo + 1) > _FR_SMALL:
         window = math.ceil(size ** (2.0 / 3.0))
         slack = math.isqrt(window) // 2 + 1
         loc = t - lo + 1
@@ -340,6 +332,7 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
             hi = p - 1
         else:
             lo = p + 1
+    return _select_range(arr, lo, hi, t, cmp)
 
 
 def select_floyd_rivest(buffer: Sequence[Element], k: int, cmp: CountingComparator, rng: Rng) -> Element:

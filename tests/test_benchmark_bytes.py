@@ -1,0 +1,46 @@
+"""Pass 0 of every benchmark workload at seed 1 prints the bytes pinned here.
+
+The invocations come from perfbench/run.py's calls_for, loaded read-only, and
+run through cli.main in process.  A change that moves a tally or any other
+byte of the benchmark's output re-pins the workload's digest and says why.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from doubles import run_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+# sha256 of the concatenated stdout of each workload's invocations
+DIGESTS = {
+    "median-lv": "6ef0e415c6929a13c6e04ecaa9b4501b73c8132e81f9e42efe35c58d9e7e04bc",
+    "skew-det": "0d168f4c6779f786b29a71240da0947cfe483a4c595032d5bf82797277c756cf",
+    "small-sweep": "8182380bed999470fa1a0b46bc209d2afa6bebb02cc4e82684025be5113ecf35",
+}
+
+
+def calls_for(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports spans.py by its bare name
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up there
+    spec.loader.exec_module(run)
+    return run.calls_for(workload, 1, 0)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_pass_0_at_seed_1_prints_the_pinned_bytes(monkeypatch, capsys, workload):
+    monkeypatch.delenv("MEDIOCRE_THREADS", raising=False)  # as the benchmark runs
+    out = []
+    for call in calls_for(monkeypatch, workload):
+        code, stdout, _ = run_cli(capsys, *call.argv)
+        assert code == 0, call.argv
+        out.append(stdout)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == DIGESTS[workload]

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -307,6 +308,20 @@ class TestLowerBound:
         assert code == 2
         assert "i >= 0" in err
 
+    @pytest.mark.parametrize("i,j,want", [
+        (831526, 783165, (2, "")),
+        (831527, 783165, (0, "1613657\n")),
+        (10**15, 10**15, (2, "")),
+    ])
+    def test_answers_or_exits_2_within_a_second(self, capsys, i, j, want):
+        # the estimate alone decides only the second ceiling; the exact
+        # integers of the other two have over 2^17 bits
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "lower-bound", "--i", str(i), "--j", str(j))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == want
+        assert ("exact bits <= 131072 violated" in err) == (code == 2)
+
 
 class TestPlotData:
     def test_grid_matches_constants_table(self, capsys):
@@ -377,7 +392,7 @@ class TestPlotData:
         # P = 1500, k = 501: the tournament's worst case is 4.67P, so median-of-medians,
         # which finishes with the tournament once a partition leaves the rank near an end
         (tuple("bench --algo yao --n 2000 --i 500 --j 999 --trials 3".split()),
-         "fbc4ad670f86f627c0c0a5931c8fb7d2f03c26742991f1adceac3d9bb729ea83"),
+         "1f8d41d078a1d7212ecae5bd1b7f5ead592b2df8f68970f396daa162cb973e17"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):

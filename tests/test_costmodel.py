@@ -177,6 +177,11 @@ class TestLowerBound:
     def test_large_arguments_match_the_exact_formula(self, i, j):
         assert lower_bound(i, j) == exact_lower_bound(i, j)
 
+    def test_a_shape_just_under_the_bit_limit_takes_the_exact_path(self):
+        # log2 N = 130755.99999999, within the estimate's error bound of an
+        # integer; N may have 130767 bits by the size test, at most 2^17
+        assert lower_bound(65144, 65605) == exact_lower_bound(65144, 65605) == 130756
+
 
 def exact_lower_bound(i, j):
     return ((j + 1) * math.comb(i + j + 1, i) - 1).bit_length()

@@ -243,9 +243,26 @@ class TestMomSmallest:
                 self.check(vals, t)
         assert kinds == set(product((True, False), repeat=2))
 
-    @pytest.mark.parametrize("size,worst", enumerate([0, 1, 3, 5, 9, 10, 12, 17, 19], 1))
+    @pytest.mark.parametrize("size", range(1, 5))
+    def test_at_most_four_values_go_to_the_tournament(self, size):
+        for perm in permutations(range(size)):
+            for t in range(size):
+                mom, tour, mom_lower, tour_lower = RecordingComparator(), RecordingComparator(), set(), set()
+                assert _mom_smallest(list(perm), t, mom, mom_lower) == t
+                assert select_tournament(perm, size - t, tour, tour_lower) == t
+                assert (mom.log, mom_lower) == (tour.log, tour_lower)
+
+    def test_five_values_cost_six_at_the_median(self):
+        # one group of five, whose median is the pivot and the answer
+        for perm in permutations(range(5)):
+            cmp = CountingComparator()
+            assert _mom_smallest(list(perm), 2, cmp) == 2
+            assert cmp.comparisons == 6
+
+    @pytest.mark.parametrize("size,worst", enumerate([0, 1, 3, 4, 7, 10, 12, 17, 19], 1))
     def test_worst_case_over_every_order(self, size, worst):
-        # 13, 18 and 20 at sizes 7 to 9 before the tournament finished
+        # 13, 18 and 20 at sizes 7 to 9 before the tournament finished; 5 and
+        # 9 at sizes 4 and 5 while a partial insertion finished a first round
         assert max(adversary_worst_case(_mom_smallest, size, t) for t in range(size)) == worst
 
     @pytest.mark.parametrize("size", [7, 8, 9, 104])
