@@ -221,11 +221,11 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
 
 # Tournament worst case allowed, in units of P: beyond 4P the replays cost
 # more Python time than the comparisons they save.  Over every k of one
-# Rng(P)-shuffled pool per P <= 200, 4 of the 5761 (P, k) cells within 2P cost
-# more than _mom_smallest, all at P <= 9 (P = 9, k = 3: 14 against 12); 1901 of
-# the 10687 between 2P and 4P did, up to P = 200, and that band cost 20% less.
+# Rng(P)-shuffled pool per P <= 200, 5 of the 5761 (P, k) cells within 2P cost
+# more than _mom_smallest, all at P <= 9 (P = 9, k = 3: 13 against 12); 1709 of
+# the 10687 between 2P and 4P did, up to P = 200, and that band cost 20.9% less.
 # Inside _mom_smallest, 3, 5 and 6 raised skew-det's tally at
-# seeds 1-3 (seed 1: 2.004, 2.013 and 2.049 against 1.997 per element).
+# seeds 1-3 (seed 1: 1.983, 1.991 and 2.027 against 1.976 per element).
 _TOURNAMENT_BUDGET = 4
 
 
@@ -253,10 +253,12 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
 
     k' = min(k, P - k + 1) on P = len(buffer) elements: a max-tournament
     when k is nearer the top, a min-tournament when it is nearer the bottom.
-    The bracket holds leaf positions, not values, so copies of a value stay
-    apart; an odd trailing entry takes a bye at each level.  Each replay
-    empties the champion's leaf and replays only the matches on its path.
-    At k' = 1 a plain scan finds the same element, so no bracket is built.
+    The bracket is one flat list of leaf positions, not values, so copies of
+    a value stay apart: entry P + h plays entries 2h and 2h + 1 (Knuth's
+    tree selection, TAOCP vol. 3, 5.3.3), and the leaves sit at two adjacent
+    depths.  Each replay empties the champion's leaf and replays only the
+    matches on its path.  At k' = 1 a plain scan finds the same element, so
+    no bracket is built.
     Costs at most P - 1 + (k' - 1) * ceil(log2 P) comparisons; for k = 2
     that is Kislitsyn's P - 2 + ceil(log2 P), exact when P is a power of two.
     If lower is a set, the call adds to it, as _mom_smallest does, the values
@@ -268,7 +270,7 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
     rank = min(k, size - k + 1)
     less = cmp.less
     flip = rank != k  # a min-tournament: x is knocked out by y if less(y, x)
-    if rank == 1:
+    if rank == 1:  # the same P - 1 questions; the bracket took 1.5-1.9x as long from P = 5 to 20000
         best = buffer[0]
         for v in buffer[1:]:
             if less(v, best) if flip else less(best, v):
@@ -276,32 +278,23 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
         if lower is not None and not flip:
             lower.update(buffer)
         return best
-    level = list(range(size))
-    levels = [level]
-    while len(level) > 1:
-        winners = []
-        it = iter(level)
-        for a, b in zip(it, it):
-            winners.append(b if (less(buffer[b], buffer[a]) if flip else less(buffer[a], buffer[b])) else a)
-        if len(level) & 1:
-            winners.append(level[-1])
-        levels.append(winners)
-        level = winners
-    climbs = list(zip(levels, levels[1:]))
+    root = 2 * size - 2
+    tree = list(range(size))  # entry size + h: the winner of entries 2h and 2h + 1, read as it is appended
+    it = iter(tree)
+    for a, b in zip(it, it):
+        tree.append(b if (less(buffer[b], buffer[a]) if flip else less(buffer[a], buffer[b])) else a)
     for _ in range(rank - 1):
-        pos = levels[-1][0]
-        levels[0][pos] = w = -1  # the emptied leaf loses every match unplayed
-        for below, above in climbs:
-            sib = pos ^ 1
-            if sib < len(below):
-                s = below[sib]
-                if w < 0 or s >= 0 and (less(buffer[s], buffer[w]) if flip else less(buffer[w], buffer[s])):
-                    w = s
-            pos >>= 1
-            above[pos] = w
+        node = tree[root]
+        tree[node] = w = -1  # the emptied leaf loses every match unplayed
+        while node != root:
+            s = tree[node ^ 1]
+            if w < 0 or s >= 0 and (less(buffer[s], buffer[w]) if flip else less(buffer[w], buffer[s])):
+                w = s
+            node = size + (node >> 1)
+            tree[node] = w
     if lower is not None:
-        lower.update(buffer[p] for p, leaf in enumerate(levels[0]) if (leaf < 0) == flip)
-    return buffer[levels[-1][0]]
+        lower.update(v for v, leaf in zip(buffer, tree) if (leaf < 0) == flip)
+    return buffer[tree[root]]
 
 
 def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -> Element:

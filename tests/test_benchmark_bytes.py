@@ -21,8 +21,8 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 # sha256 of the concatenated stdout of each workload's invocations
 DIGESTS = {
     "median-lv": "6ef0e415c6929a13c6e04ecaa9b4501b73c8132e81f9e42efe35c58d9e7e04bc",
-    "skew-det": "0d168f4c6779f786b29a71240da0947cfe483a4c595032d5bf82797277c756cf",
-    "small-sweep": "8182380bed999470fa1a0b46bc209d2afa6bebb02cc4e82684025be5113ecf35",
+    "skew-det": "eb1f9670faa2fa33200a7730344537f59e862762cc42d937313db20bee061470",
+    "small-sweep": "a5dc39a6e5f4b11512d78faf2e3878cefb2d66c398a99b776202543f8225459b",
 }
 
 

@@ -150,13 +150,13 @@ class TestRun:
 
     # Pinned rows: a changed element, rank, tally or stage count shows up here.
     @pytest.mark.parametrize("argv,row", [
-        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,44,0,,"),
-        ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,26,9,,"),
-        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,27,9,,"),
+        ("yao --n 50 --i 5 --j 20 --seed 3", "yao,50,5,20,,3,43,43,true,42,0,,"),
+        ("a1 --n 40 --i 3 --j 11 --seed 2", "a1,40,3,11,,2,20,20,true,24,9,,"),
+        ("a1 --n 40 --i 3 --j 12 --seed 2", "a1,40,3,12,,2,20,20,true,26,9,,"),
         ("a1 --n 30 --i 5 --j 2 --seed 9", "a1,30,5,2,,9,10,10,true,11,0,,"),
-        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,22,9,,"),
+        ("hyper --g 2 --n 64 --i 3 --j 11 --seed 4", "hyper,64,3,11,2,4,46,46,true,23,9,,"),
         ("hyper --g 4 --n 24 --i 2 --j 15 --seed 1", "hyper,24,2,15,4,1,19,19,true,26,18,,"),
-        ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,41,35,,"),
+        ("hyper --g 8 --n 64 --i 1 --j 30 --seed 8", "hyper,64,1,30,8,8,61,61,true,40,35,,"),
         ("a2 --n 200 --i 40 --j 40 --seed 9", "a2,200,40,40,,9,82,82,true,200,,,false"),
         ("a2lv --n 80 --i 18 --j 18 --seed 4", "a2lv,80,18,18,,4,49,49,true,84,,1,false"),
     ])
@@ -259,8 +259,8 @@ class TestBench:
             "a2lv,120,20,30,8,124.2500,32.0225,202,,1.1250,100",
             "fr-median,120,20,30,8,110.8750,20.3005,148,,,100",
         ]),
-        ("yao --n 50 --i 5 --j 20 --trials 6 --seed-base 3", ["yao,50,5,20,6,43.8333,0.6872,45,,,3"]),
-        ("hyper --g 8 --n 200 --i 3 --j 60 --trials 4 --seed-base 9", ["hyper,200,3,60,4,94.7500,0.8292,96,,,9"]),
+        ("yao --n 50 --i 5 --j 20 --trials 6 --seed-base 3", ["yao,50,5,20,6,43.1667,1.2134,44,,,3"]),
+        ("hyper --g 8 --n 200 --i 3 --j 60 --trials 4 --seed-base 9", ["hyper,200,3,60,4,94.5000,0.5000,95,,,9"]),
     ])
     def test_golden_rows(self, capsys, argv, rows):
         code, out, _ = run_cli(capsys, "bench", "--algo", *argv.split())
@@ -384,15 +384,15 @@ class TestPlotData:
         (tuple("bench --algo a2lv --n 80 --i 18 --j 18 --trials 10 --baseline fr-median".split()),
          "850f8c82540a25ef41301e24fde7bf7a32ae600aa25c8fcb0f520e939cd0a6dc"),
         (tuple("bench --algo a1 --n 200 --i 10 --j 179 --trials 4 --baseline fr-median".split()),
-         "cb71c44c50c1c0bde456ebdc96044d39745cbe3afea39df22ca7bd686cff694a"),
+         "f52adce38e07ccf698a9275a38d1c8e64179f96620787c6e2746a79737ce7851"),
         (tuple("bench --algo hyper --g 4 --n 64 --i 4 --j 20 --trials 20".split()),
-         "050b994b5398c855fae3d741b6bf060446550eaaa454e4b65ba8cae107ecfb14"),
+         "04fd8983b4b6a099308cd42f3869311bff52be5181c45ba272f57dab35348cec"),
         (tuple("bench --algo a2 --n 200 --i 40 --j 40 --trials 50".split()),
          "df680b1251f6262508ffd57f1156e5136b7b079eed6fc42a280f5ce7e5000823"),
         # P = 1500, k = 501: the tournament's worst case is 4.67P, so median-of-medians,
         # which finishes with the tournament once a partition leaves the rank near an end
         (tuple("bench --algo yao --n 2000 --i 500 --j 999 --trials 3".split()),
-         "1f8d41d078a1d7212ecae5bd1b7f5ead592b2df8f68970f396daa162cb973e17"),
+         "7c1bce6744178ef95d49a9dca0542cc482575f5b050391899cbaa8cb974c095b"),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):
@@ -520,7 +520,7 @@ class TestParserReuse:
         statuses = [status for status, _, _ in results]
         assert statuses == [2, 2, 3, 0, 0, 0]
         assert results[1][1] == ""
-        assert results[3][1] == f"{cli.RUN_HEADER}\na1,40,3,11,,2,20,20,true,26,9,,\n"
+        assert results[3][1] == f"{cli.RUN_HEADER}\na1,40,3,11,,2,20,20,true,24,9,,\n"
         # no --baseline default carried over from the call before
         assert [len(r[1].splitlines()) for r in results[4:]] == [3, 2]
 
