@@ -14,13 +14,14 @@ from itertools import compress
 
 from .core import CountingComparator, Element, Rng
 
-# Floyd-Rivest hands ranges of at most this size to _select_range.  It cannot
-# go lower: only from size 11 on is the window, at most ceil(size^(2/3)) +
-# 2 * slack + 1 positions, narrower than its range, and a window spanning the
-# whole range would recurse on it forever.  Of 10, 12, 16, 24, 32 and 48, 10
-# gave the lowest tally on small-sweep, and on median-lv at all but seed 1
-# (1.2042 comparisons per element there, 1.2039 at 12 and 1.2171 at 48).
-_FR_SMALL = 10
+# Floyd-Rivest ends ranges of at most this size in the knockout bracket.  It
+# cannot go below 10: only from size 11 on is the window, at most
+# ceil(size^(2/3)) + 2 * slack + 1 positions, narrower than its range, and a
+# window spanning the whole range would recurse on it forever.  Of 10, 16,
+# 24, 32 and 48, 24 gave the lowest pass-0 tally on median-lv at seeds 1 and
+# 71-74 (1.18114 against 1.18234 at 10 at seed 1) and tied 32 and 48 on
+# small-sweep; 32 and 48 ran up to 7% faster on 1542 values, but asked more.
+_FR_SMALL = 24
 # _split classifies at least this many values with one batch query, and
 # fewer with one less call each, where building the batch's two sides costs
 # more than the calls save.  Floyd-Rivest, minimum time per call at the
@@ -50,40 +51,6 @@ def select_by_sort(buffer: Sequence[Element], k: int, cmp: CountingComparator | 
     """
     _check_k(buffer, k)
     return sorted(buffer)[len(buffer) - k]
-
-
-def _select_range(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -> Element:
-    """Value of the (t - lo)-th smallest (0-based) of arr[lo..hi], in place.
-
-    Partial insertion keeps the shorter side of t sorted: arr[lo..t] the
-    smallest values seen, or arr[t..hi] the largest.  A later value that beats
-    arr[t] is inserted from arr[t] inward, the evicted arr[t] taking its slot.
-    On return arr[t] holds it, everything left of it <= it and right >= it.
-    """
-    less = cmp.less
-    if t - lo <= hi - t:
-        for idx in range(lo + 1, hi + 1):
-            v, pos = arr[idx], idx
-            if idx > t:
-                if not less(v, arr[t]):
-                    continue
-                arr[idx], pos = arr[t], t
-            while pos > lo and less(v, arr[pos - 1]):
-                arr[pos] = arr[pos - 1]
-                pos -= 1
-            arr[pos] = v
-    else:
-        for idx in range(hi - 1, lo - 1, -1):
-            v, pos = arr[idx], idx
-            if idx < t:
-                if not less(arr[t], v):
-                    continue
-                arr[idx], pos = arr[t], t
-            while pos < hi and less(arr[pos + 1], v):
-                arr[pos] = arr[pos + 1]
-                pos += 1
-            arr[pos] = v
-    return arr[t]
 
 
 def _split(values: list, pivot: Element, cmp: CountingComparator) -> tuple[list, list]:
@@ -248,17 +215,41 @@ def select_mom(buffer: Sequence[Element], k: int, cmp: CountingComparator) -> El
     return _mom_smallest(list(buffer), len(buffer) - k, cmp)
 
 
+def _knockout(vals: Sequence[Element], rank: int, flip: bool, less) -> list[int]:
+    """The knockout bracket on vals after rank - 1 replays; the root, last, holds the rank-th champion's leaf.
+
+    One flat list of the P = len(vals) leaf positions, not values, so copies
+    of a value stay apart: entry P + h plays entries 2h and 2h + 1 (Knuth's
+    tree selection, TAOCP vol. 3, 5.3.3), and the leaves sit at two adjacent
+    depths.  Each replay empties the champion's leaf to -1 and replays only
+    the matches on its path.  A max-bracket unless flip: then x is knocked
+    out by y if less(y, x).  Asks at most P - 1 + (rank - 1) * ceil(log2 P)
+    questions.
+    """
+    size = len(vals)
+    root = 2 * size - 2
+    tree = list(range(size))  # entry size + h: the winner of entries 2h and 2h + 1, read as it is appended
+    it = iter(tree)
+    for a, b in zip(it, it):
+        tree.append(b if (less(vals[b], vals[a]) if flip else less(vals[a], vals[b])) else a)
+    for _ in range(rank - 1):
+        node = tree[root]
+        tree[node] = w = -1  # the emptied leaf loses every match unplayed
+        while node != root:
+            s = tree[node ^ 1]
+            if w < 0 or s >= 0 and (less(vals[s], vals[w]) if flip else less(vals[w], vals[s])):
+                w = s
+            node = size + (node >> 1)
+            tree[node] = w
+    return tree
+
+
 def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator, lower: set | None = None) -> Element:
-    """k-th largest by one knockout tournament and k' - 1 replays.
+    """k-th largest by one knockout tournament and k' - 1 replays (_knockout).
 
     k' = min(k, P - k + 1) on P = len(buffer) elements: a max-tournament
     when k is nearer the top, a min-tournament when it is nearer the bottom.
-    The bracket is one flat list of leaf positions, not values, so copies of
-    a value stay apart: entry P + h plays entries 2h and 2h + 1 (Knuth's
-    tree selection, TAOCP vol. 3, 5.3.3), and the leaves sit at two adjacent
-    depths.  Each replay empties the champion's leaf and replays only the
-    matches on its path.  At k' = 1 a plain scan finds the same element, so
-    no bracket is built.
+    At k' = 1 a plain scan finds the same element, so no bracket is built.
     Costs at most P - 1 + (k' - 1) * ceil(log2 P) comparisons; for k = 2
     that is Kislitsyn's P - 2 + ceil(log2 P), exact when P is a power of two.
     If lower is a set, the call adds to it, as _mom_smallest does, the values
@@ -278,23 +269,10 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
         if lower is not None and not flip:
             lower.update(buffer)
         return best
-    root = 2 * size - 2
-    tree = list(range(size))  # entry size + h: the winner of entries 2h and 2h + 1, read as it is appended
-    it = iter(tree)
-    for a, b in zip(it, it):
-        tree.append(b if (less(buffer[b], buffer[a]) if flip else less(buffer[a], buffer[b])) else a)
-    for _ in range(rank - 1):
-        node = tree[root]
-        tree[node] = w = -1  # the emptied leaf loses every match unplayed
-        while node != root:
-            s = tree[node ^ 1]
-            if w < 0 or s >= 0 and (less(buffer[s], buffer[w]) if flip else less(buffer[w], buffer[s])):
-                w = s
-            node = size + (node >> 1)
-            tree[node] = w
+    tree = _knockout(buffer, rank, flip, less)
     if lower is not None:
         lower.update(v for v, leaf in zip(buffer, tree) if (leaf < 0) == flip)
-    return buffer[tree[root]]
+    return buffer[tree[-1]]
 
 
 def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -> Element:
@@ -307,7 +285,9 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
     elements outside the window and moves the window back between them as
     one block.  On return arr[t] holds the answer, everything left of it
     resolved <= it and everything right >= it (duplicates of a value are
-    interchangeable).
+    interchangeable).  A range of at most _FR_SMALL values ends in
+    _knockout at k' = min(t - lo, hi - t) + 1, a min-bracket when t is nearer
+    lo; its k' - 1 champions take the nearer end, each side in input order.
     """
     while (size := hi - lo + 1) > _FR_SMALL:
         window = math.ceil(size ** (2.0 / 3.0))
@@ -325,7 +305,19 @@ def _fr_smallest(arr: list, lo: int, hi: int, t: int, cmp: CountingComparator) -
             hi = p - 1
         else:
             lo = p + 1
-    return _select_range(arr, lo, hi, t, cmp)
+    vals = arr[lo : hi + 1]
+    flip = t - lo < hi - t  # a min-bracket: its champions are the t - lo smallest
+    tree = _knockout(vals, min(t - lo, hi - t) + 1, flip, cmp.less)
+    x = vals[tree[-1]]
+    tree[tree[-1]] = -2  # the answer's leaf, apart from the champions' -1
+    taken, rest = [], []
+    for v, leaf in zip(vals, tree):  # one pass: two comprehensions took 0.6-1.3 us longer at 10-24 values
+        if leaf >= 0:
+            rest.append(v)
+        elif leaf == -1:
+            taken.append(v)
+    arr[lo : hi + 1] = taken + [x] + rest if flip else rest + [x] + taken
+    return x
 
 
 def select_floyd_rivest(buffer: Sequence[Element], k: int, cmp: CountingComparator, rng: Rng) -> Element:

@@ -6,9 +6,13 @@
   recorder that gets its less from it.
 - AdversaryComparator answers from a script of answers, and
   adversary_worst_case walks a selector's decision tree with it.
+- questions_over_every_order totals a selector's tally over every order
+  and every rank.
 - staged wraps a pool selector to note the tally spent before it runs.
 - run_cli runs one command in process and returns its exit code and output.
 """
+
+from itertools import permutations
 
 from mediocre.cli import main
 from mediocre.core import CountingComparator
@@ -134,6 +138,21 @@ def adversary_worst_case(select, n, t):
         if not free:
             return most
         script = free[:-1] + [True]
+
+
+def questions_over_every_order(select, size):
+    """The total and the most comparisons select(values, t, cmp) makes over every order of 0..size-1 and every t.
+
+    Each call gets a fresh list and must return t, the t-th smallest (0-based).
+    """
+    total = most = 0
+    for perm in permutations(range(size)):
+        for t in range(size):
+            cmp = CountingComparator()
+            assert select(list(perm), t, cmp) == t, (perm, t)
+            total += cmp.comparisons
+            most = max(most, cmp.comparisons)
+    return total, most
 
 
 class ReversedOrder:

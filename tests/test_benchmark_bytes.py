@@ -20,9 +20,9 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 # sha256 of the concatenated stdout of each workload's invocations
 DIGESTS = {
-    "median-lv": "6ef0e415c6929a13c6e04ecaa9b4501b73c8132e81f9e42efe35c58d9e7e04bc",
+    "median-lv": "957e7b4f5cfe3ca4fc1148acb9f0c1af132ab427944311d6c3c8ce6059007758",
     "skew-det": "eb1f9670faa2fa33200a7730344537f59e862762cc42d937313db20bee061470",
-    "small-sweep": "a5dc39a6e5f4b11512d78faf2e3878cefb2d66c398a99b776202543f8225459b",
+    "small-sweep": "2df0913289087afd594c7573d1888a7b0744d8702f557fba48962c43fce0ec6c",
 }
 
 

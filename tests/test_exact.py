@@ -16,7 +16,6 @@ from mediocre.exact import (
     _fr_smallest,
     _group_fives,
     _mom_smallest,
-    _select_range,
     _split,
     select_by_sort,
     select_floyd_rivest,
@@ -24,7 +23,7 @@ from mediocre.exact import (
     select_tournament,
 )
 
-from doubles import RecordingComparator, adversary_worst_case
+from doubles import RecordingComparator, adversary_worst_case, questions_over_every_order
 
 
 def tournament_bound(size, k):
@@ -391,18 +390,28 @@ def insertion_sort_tally(values):
 
 
 class TestSelectRange:
-    @given(st.data())
+    """_fr_smallest on ranges near _FR_SMALL, which end in the knockout bracket."""
+
+    @given(
+        st.lists(st.integers(0, 4), max_size=6),
+        st.lists(st.integers(0, 4), min_size=1, max_size=_FR_SMALL + 8),
+        st.lists(st.integers(0, 4), max_size=6),
+        st.integers(0, 2**16),
+    )
     @settings(max_examples=400, deadline=None)
-    def test_partition_of_a_sub_range(self, data):
-        values = st.integers(0, 4)
-        before = data.draw(st.lists(values, max_size=6))
-        inside = data.draw(st.lists(values, min_size=1, max_size=12))
-        arr = before + inside + data.draw(st.lists(values, max_size=6))
+    # the largest range the bracket takes and the smallest that narrows first,
+    # one each with duplicates; the values outside must stay untouched
+    @example([4, 4], [v % 5 for v in range(_FR_SMALL)], [0], 7)
+    @example([1], [v % 3 for v in range(_FR_SMALL + 1)], [2, 3], 5)
+    @example([], list(range(_FR_SMALL - 1, -1, -1)), [], _FR_SMALL - 2)
+    @example([0], list(range(_FR_SMALL + 1)), [], _FR_SMALL // 2)
+    def test_partition_of_a_sub_range(self, before, inside, after, pick):
+        arr = before + inside + after
         lo, hi = len(before), len(before) + len(inside) - 1
-        t = data.draw(st.integers(lo, hi))
+        t = lo + pick % len(inside)
         original = list(arr)
         cmp = RecordingComparator()
-        assert _select_range(arr, lo, hi, t, cmp) == arr[t] == sorted(inside)[t - lo]
+        assert _fr_smallest(arr, lo, hi, t, cmp) == arr[t] == sorted(inside)[t - lo]
         assert all(v <= arr[t] for v in arr[lo:t])
         assert all(arr[t] <= v for v in arr[t + 1 : hi + 1])
         assert sorted(arr[lo : hi + 1]) == sorted(inside)
@@ -411,20 +420,18 @@ class TestSelectRange:
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_exhaustive_against_insertion_sort(self, size):
-        # one (order, t) at size 4 and one at size 6 cost one more than
-        # insertion sort, so the worst case and the mean are what is bounded
-        perms = list(permutations(range(size)))
-        worst = total = 0
-        for t in range(size):
-            for perm in perms:
-                arr = list(perm)
-                cmp = CountingComparator()
-                assert _select_range(arr, 0, size - 1, t, cmp) == arr[t] == t
-                assert sorted(arr[:t]) == list(range(t))
-                worst = max(worst, cmp.comparisons)
-                total += cmp.comparisons
+        # the bracket's totals and worst cases over every order and every t;
+        # partial insertion asked 344 in all and at most 5 at size 4, 3126
+        # and 9 at 5, 29736 and 12 at 6, and 311484 and 18 at 7
+        def select(arr, t, cmp):
+            assert _fr_smallest(arr, 0, size - 1, t, cmp) == arr[t]
+            assert sorted(arr[:t]) == list(range(t))
+            return arr[t]
+
+        total, worst = questions_over_every_order(select, size)
+        assert (total, worst) == [(0, 0), (4, 1), (40, 3), (336, 4), (3036, 7), (28512, 9), (290880, 12)][size - 1]
         assert worst <= size * (size - 1) // 2
-        sorting = sum(map(insertion_sort_tally, perms))
+        sorting = sum(map(insertion_sort_tally, permutations(range(size))))
         if size >= 3:
             assert total < sorting * size  # means over every order and every t
         else:
@@ -509,13 +516,8 @@ class TestTournament:
         # one flat bracket: entry P + h plays entries 2h and 2h + 1, so every
         # leaf sits at one of two adjacent depths; at P = 5 the old per-level
         # bracket, which gave byes, asked 3120 in all and at most 8
-        tallies = []
-        for perm in permutations(range(size)):
-            for k in range(1, size + 1):
-                cmp = CountingComparator()
-                assert select_tournament(perm, k, cmp) == size - k
-                tallies.append(cmp.comparisons)
-        assert (sum(tallies), max(tallies)) == (total, worst)
+        tallies = questions_over_every_order(lambda vals, t, cmp: select_tournament(vals, size - t, cmp), size)
+        assert tallies == (total, worst)
 
     def test_a_min_tournament_asks_the_mirrored_questions(self):
         # the questions of the max-tournament on the negated values, each
