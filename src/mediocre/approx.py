@@ -167,12 +167,13 @@ def a2_once(
 ) -> SelectionOutcome:
     """One Monte Carlo round: sample, select the k-th smallest, verify.
 
-    Uses params (m, r, k) when given, else the paper's, a2_params.  Draws r
-    indices from the first m elements uniformly with replacement,
-    selects the k-th smallest of the sampled multiset, then checks the
-    candidate against every working-set element: it is returned only if at
-    least i elements are larger and at least j smaller, otherwise the outcome
-    is flagged failed.  A wrong element can never escape.
+    Uses params (m, r, k) when given, else the paper's, a2_params, and raises
+    ValueError unless 1 <= k <= r and m <= n.  Draws r indices from the first
+    m elements uniformly with replacement, selects the k-th smallest of the
+    sampled multiset, then checks the candidate against every working-set
+    element: it is returned only if at least i elements are larger and at
+    least j smaller, otherwise the outcome is flagged failed.  A wrong
+    element can never escape.
 
     The sample is selected in place by the narrowing selector, so the whole
     round stays within m + O(m^(3/4)) comparisons.  The sides of the
@@ -181,6 +182,8 @@ def a2_once(
     in one batch.
     """
     m, r, k = params or a2_params(instance.i, instance.j, instance.n)
+    if not (1 <= k <= r and m <= instance.n):
+        raise ValueError(f"1 <= k <= r and m <= n violated: (m, r, k) = {(m, r, k)}, n = {instance.n}")
     elements = instance.elements
     idxs = rng.sample_with_replacement(m, r)
     sample = [elements[q] for q in idxs]

@@ -22,17 +22,6 @@ from .core import CountingComparator, Element, Rng
 # 71-74 (1.18114 against 1.18234 at 10 at seed 1) and tied 32 and 48 on
 # small-sweep; 32 and 48 ran up to 7% faster on 1542 values, but asked more.
 _FR_SMALL = 24
-# _split classifies at least this many values with one batch query, and
-# fewer with one less call each, where building the batch's two sides costs
-# more than the calls save.  Floyd-Rivest, minimum time per call at the
-# median over two sweeps of 61 in-process rounds: batching every split was
-# 20-23% slower at 16 and 64 elements; this floor, the fastest at 16637, was
-# 12-13% faster than none there.  128 and 256 lay within 3% of it at every
-# size and on a2lv, and 32 was 3-8% slower at 64.  Median-of-medians gains
-# nothing from it: select_mom at the median took 16.1 -> 17.3 ms at
-# P = 19000 and 2.68 -> 2.73 ms at P = 2000 against one less call each
-# (faster in 11 and 13 of 31 rounds).
-_BATCH = 64
 # Swaps the 0 and 1 bytes of a batch's answer, selecting the other side.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -56,20 +45,10 @@ def select_by_sort(buffer: Sequence[Element], k: int, cmp: CountingComparator | 
 def _split(values: list, pivot: Element, cmp: CountingComparator) -> tuple[list, list]:
     """The values strictly below pivot and the rest, each side in input order.
 
-    One tally per value: one less_each batch from _BATCH values on, one less
-    call each below that.
+    One less_each batch, so one tally per value at every length.
     """
-    if len(values) >= _BATCH:
-        flags = cmp.less_each(values, pivot)
-        return list(compress(values, flags)), list(compress(values, flags.translate(_FLIP)))
-    less = cmp.less
-    below, rest = [], []
-    for v in values:
-        if less(v, pivot):
-            below.append(v)
-        else:
-            rest.append(v)
-    return below, rest
+    flags = cmp.less_each(values, pivot)
+    return list(compress(values, flags)), list(compress(values, flags.translate(_FLIP)))
 
 
 def _fives(groups, less, vee: bool = False, lam: bool = False) -> list[tuple]:
@@ -134,16 +113,14 @@ def _mom_smallest(vals: list, t: int, cmp: CountingComparator, lower: set | None
     """
     upper, carried, n = False, [], len(vals)  # flat triples: V (x, m, y) below, lambda (h, h', m) if upper
     while n > 4:
-        groups = []
-        if carried:
-            # each triple takes two values from the end: (x, m, u, w, y) or (h, u, h', w, m)
-            paired = min(len(carried) // 3, len(vals) // 2)
-            cut = len(vals) - 2 * paired
-            old, new = iter(carried), iter(vals[cut:])
-            groups = zip(old, new, old, new, old) if upper else zip(old, old, new, new, old)
-            groups = _fives(groups, cmp.less, not upper, upper)
-            del vals[cut:]
-            vals += carried[3 * paired :]
+        # each triple takes two values from the end: (x, m, u, w, y) or (h, u, h', w, m)
+        paired = min(len(carried) // 3, len(vals) // 2)
+        cut = len(vals) - 2 * paired
+        old, new = iter(carried), iter(vals[cut:])
+        groups = zip(old, new, old, new, old) if upper else zip(old, old, new, new, old)
+        groups = _fives(groups, cmp.less, not upper, upper)
+        del vals[cut:]
+        vals += carried[3 * paired :]
         groups += _group_fives(vals, cmp)
         medians = [group[2] for group in groups]
         settled: set = set()
@@ -261,6 +238,7 @@ def select_tournament(buffer: Sequence[Element], k: int, cmp: CountingComparator
     rank = min(k, size - k + 1)
     less = cmp.less
     flip = rank != k  # a min-tournament: x is knocked out by y if less(y, x)
+    # small-sweep makes 40% of its tournament calls here (1020 of 2520 in pass 0 at seed 1)
     if rank == 1:  # the same P - 1 questions; the bracket took 1.5-1.9x as long from P = 5 to 20000
         best = buffer[0]
         for v in buffer[1:]:

@@ -371,6 +371,16 @@ class TestA2Once:
             a2_once(inst, cmp, Rng(seed ^ 1 << 63))
             assert cmp.comparisons <= params.m + 16 * params.r
 
+    @pytest.mark.parametrize(
+        "params", [A2Params(20, 10, 0), A2Params(20, 0, 0), A2Params(40, 30, 31), A2Params(31, 10, 5)]
+    )
+    def test_params_out_of_range_raise(self, params):
+        # at k = 0 selection targets t = -1 and counts values above x as smaller, so
+        # element 0, inside the bottom j = 1, would pass as not failed
+        inst = generate_instance(30, 1, 1, seed=2)
+        with pytest.raises(ValueError):
+            a2_once(inst, CountingComparator(), Rng(97), params)
+
     def test_only_working_set_is_touched(self):
         inst = generate_instance(500, 60, 60, seed=6)
         params = a2_params(60, 60, 500)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mediocre import exact
 from mediocre.core import CountingComparator, Rng, generate_instance
 from mediocre.exact import (
-    _BATCH,
     _FR_SMALL,
     _TOURNAMENT_BUDGET,
     _fives,
@@ -621,12 +620,14 @@ class TestFloydRivest:
 
 class TestSplit:
     @given(st.lists(st.integers(0, 6), max_size=130), st.integers(-1, 7))
-    @example(([6, 2, 4, 0, 3, 5, 1] * _BATCH)[: _BATCH - 1], 3)  # one less call each
-    @example(([6, 2, 4, 0, 3, 5, 1] * _BATCH)[:_BATCH], 3)  # one batch
+    @example([], 3)
+    @example([5], 3)
+    @example(([6, 2, 4, 0, 3, 5, 1] * 2)[:13], 3)
+    @example(([6, 2, 4, 0, 3, 5, 1] * 9)[:63], 3)
     @settings(max_examples=300)
     def test_sides_keep_input_order_and_every_value_counts_once(self, values, pivot):
         # values 0..6 and pivots -1..7: pivots among the values and next to them,
-        # on lists on both sides of the batch floor
+        # on lists of the lengths the workloads split, from none to over 64
         for cmp in (CountingComparator(), RecordingComparator()):
             cmp.less(0, 1)
             below, rest = _split(values, pivot, cmp)
